@@ -98,16 +98,44 @@ class DowneyLogUniformPredictor(QuantilePredictor):
     def _compute_bound(self) -> Optional[float]:
         if len(self.history) < 2:
             return None
-        if self._lo + self.shift <= 0.0:
+        return self._bound(self._lo, self._hi)
+
+    def _bound(self, lo: float, hi: float) -> float:
+        """The quote for a sample whose range is ``[lo, hi]``."""
+        if lo + self.shift <= 0.0:
             raise ValueError("all values must exceed -shift for a log-uniform fit")
         fitted = LogUniformDistribution(
-            log_lo=math.log(self._lo + self.shift),
-            log_hi=math.log(self._hi + self.shift),
+            log_lo=math.log(lo + self.shift),
+            log_hi=math.log(hi + self.shift),
             shift=self.shift,
         )
         # A point estimate of the q-quantile serves as both the "upper" and
         # "lower" quote — the model carries no confidence margin to shift it.
         return max(0.0, fitted.quantile(self.quantile))
+
+    def _prefix_bounds(self, waits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The quote at each prefix length (see ``prefix_kernel``).
+
+        The running extremes change only at record-setting waits, so
+        ``_bound`` — the very function ``_compute_bound`` calls — runs
+        once per distinct ``(lo, hi)`` pair and the quotes equal the
+        per-event ones bit for bit.
+        """
+        out = np.full(lengths.size, np.nan)
+        fitted = np.flatnonzero(lengths >= 2)
+        if fitted.size:
+            last = lengths[fitted] - 1
+            lo = np.minimum.accumulate(waits)[last]
+            hi = np.maximum.accumulate(waits)[last]
+            new = np.ones(fitted.size, dtype=bool)
+            new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            starts = np.flatnonzero(new)
+            values = [
+                self._bound(a, b)
+                for a, b in zip(lo[starts].tolist(), hi[starts].tolist())
+            ]
+            out[fitted] = np.repeat(values, np.diff(np.append(starts, fitted.size)))
+        return out
 
 
 register_batch_aware_observe(DowneyLogUniformPredictor.observe)

@@ -28,6 +28,7 @@ from repro.core.predictor import (
     QuantilePredictor,
     register_batch_aware_observe,
 )
+from repro.stats.order_stats import prefix_order_statistics
 
 __all__ = ["MaxObservedPredictor", "MeanWaitPredictor", "PointQuantilePredictor"]
 
@@ -81,6 +82,13 @@ class MaxObservedPredictor(QuantilePredictor):
     def _compute_bound(self) -> Optional[float]:
         return self._extreme
 
+    def _prefix_bounds(self, waits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Running extreme at each prefix length (see ``prefix_kernel``)."""
+        running = (
+            np.maximum if self.kind is BoundKind.UPPER else np.minimum
+        ).accumulate(waits)
+        return _at_lengths(running, lengths)
+
 
 class PointQuantilePredictor(QuantilePredictor):
     """Quotes the raw empirical q-quantile — no confidence margin.
@@ -131,6 +139,17 @@ class PointQuantilePredictor(QuantilePredictor):
             return float(np.sort(self.history.arrival_view())[rank - 1])
         return self.history.rank_value(self._rank_key)
 
+    def _prefix_bounds(self, waits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Exact prefix order statistics at ``_point_rank`` (see
+        ``prefix_kernel``)."""
+        out = np.full(lengths.size, np.nan)
+        quoted = lengths > 0
+        m = lengths[quoted].tolist()
+        out[quoted] = prefix_order_statistics(
+            waits, m, [self._point_rank(n) for n in m]
+        )
+        return out
+
 
 class MeanWaitPredictor(QuantilePredictor):
     """Quotes the historical mean wait (the eyeball forecast).
@@ -170,6 +189,22 @@ class MeanWaitPredictor(QuantilePredictor):
         if self.refit_mode == "recompute":
             return float(self.history.arrival_view().mean())
         return self._sum / self._n
+
+    def _prefix_bounds(self, waits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Running mean at each prefix length (see ``prefix_kernel``).
+
+        ``np.cumsum`` adds left to right like the per-item ``_sum += wait``
+        feed, so each quote equals the per-event one bit for bit.
+        """
+        return _at_lengths(np.cumsum(waits), lengths) / np.maximum(lengths, 1)
+
+
+def _at_lengths(running: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``running[m - 1]`` for each prefix length ``m``; ``NaN`` for ``m = 0``."""
+    out = np.full(lengths.size, np.nan)
+    quoted = lengths > 0
+    out[quoted] = running[lengths[quoted] - 1]
+    return out
 
 
 register_batch_aware_observe(MaxObservedPredictor.observe)

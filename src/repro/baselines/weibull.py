@@ -119,7 +119,14 @@ class WeibullPredictor(QuantilePredictor):
             full = self._count == cap
             k = self._stream_k
             if k is not None:
-                p = math.exp(k * log)
+                try:
+                    p = math.exp(k * log)
+                except OverflowError:
+                    # A degenerate fit (all-equal waits) can leave a shape
+                    # whose term overflows: drop the stream and resync from
+                    # the log ring at the next refit, as a batch absorb does.
+                    self._stream_k = k = None
+            if k is not None:
                 if full:
                     # The slot about to be overwritten is the term that
                     # slides out of the fit window.

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +74,42 @@ def _upper_factor(n_bucket: int, quantile: float, confidence: float) -> float:
 @lru_cache(maxsize=65536)
 def _lower_factor(n_bucket: int, quantile: float, confidence: float) -> float:
     return normal_quantile_lower_factor(n_bucket, quantile, confidence)
+
+
+def _fold_logs(
+    n: int, total: float, sumsq: float, waits: List[float], shift: float
+) -> Tuple[int, float, float]:
+    """Running ``(n, Σ, Σ²)`` of shifted logs with ``waits`` folded in.
+
+    One or two values — the epoch cadence of a sparse replay — are folded
+    with scalar ``math.log``, reproducing the historical per-observation
+    accumulation exactly; longer runs use one vectorized ``np.log`` pass
+    (agreeing to ~1e-15 relative, far inside the repository-wide 1e-9
+    bound tolerance).
+    """
+    if len(waits) <= 2:
+        for wait in waits:
+            log_wait = math.log(wait + shift)
+            total += log_wait
+            sumsq += log_wait * log_wait
+    else:
+        logs = np.log(np.asarray(waits, dtype=float) + shift)
+        total += float(logs.sum())
+        sumsq += float(np.dot(logs, logs))
+    return n + len(waits), total, sumsq
+
+
+def _tolerance_bound(
+    n: int, total: float, sumsq: float, factor: float, shift: float
+) -> float:
+    """The quoted bound ``exp(mean + K′·s) - shift`` from ``n`` shifted-log
+    waits' sum and sum of squares (``s``: the ddof=1 sample deviation)."""
+    mean = total / n
+    # Sample variance with ddof=1, as the tolerance derivation assumes;
+    # clamp tiny negatives from floating-point cancellation.
+    var = max(0.0, (sumsq - n * mean * mean) / (n - 1))
+    exponent = min(mean + factor * math.sqrt(var), _MAX_EXPONENT)
+    return max(0.0, math.exp(exponent) - shift)
 
 
 class LogNormalPredictor(QuantilePredictor):
@@ -123,30 +159,12 @@ class LogNormalPredictor(QuantilePredictor):
         super().observe(wait, predicted=predicted)
 
     def _fold_pending(self) -> None:
-        """Fold deferred per-item observations into the running log-sums.
-
-        One or two pending values — the epoch cadence of a sparse replay —
-        are folded with scalar ``math.log``, reproducing the historical
-        per-observation accumulation exactly; longer runs use one
-        vectorized ``np.log`` pass (agreeing to ~1e-15 relative, far
-        inside the repository-wide 1e-9 bound tolerance).
-        """
-        pending = self._pending
-        count = len(pending)
-        if count == 0:
-            return
-        if count <= 2:
-            for wait in pending:
-                log_wait = math.log(wait + self.shift)
-                self._n += 1
-                self._sum += log_wait
-                self._sumsq += log_wait * log_wait
-        else:
-            logs = np.log(np.asarray(pending, dtype=float) + self.shift)
-            self._n += count
-            self._sum += float(logs.sum())
-            self._sumsq += float(np.dot(logs, logs))
-        pending.clear()
+        """Fold deferred per-item observations into the running log-sums."""
+        if self._pending:
+            self._n, self._sum, self._sumsq = _fold_logs(
+                self._n, self._sum, self._sumsq, self._pending, self.shift
+            )
+            self._pending.clear()
 
     def _absorb_batch(self, waits: np.ndarray, shared=None) -> None:
         """Batch update of the running log-sums (one vectorized pass).
@@ -193,17 +211,32 @@ class LogNormalPredictor(QuantilePredictor):
         n = self._n
         if n < 2:
             return None
-        mean = self._sum / n
-        # Sample variance with ddof=1, as the tolerance derivation assumes;
-        # clamp tiny negatives from floating-point cancellation.
-        var = max(0.0, (self._sumsq - n * mean * mean) / (n - 1))
-        std = math.sqrt(var)
+        return _tolerance_bound(
+            n, self._sum, self._sumsq, self._factor(n), self.shift
+        )
+
+    def _factor(self, n: int) -> float:
+        """The cached K′ tolerance factor for an ``n``-wait fit."""
         if self.kind is BoundKind.UPPER:
-            factor = _upper_factor(_factor_bucket(n), self.quantile, self.confidence)
-        else:
-            factor = _lower_factor(_factor_bucket(n), self.quantile, self.confidence)
-        exponent = min(mean + factor * std, _MAX_EXPONENT)
-        return max(0.0, math.exp(exponent) - self.shift)
+            return _upper_factor(_factor_bucket(n), self.quantile, self.confidence)
+        return _lower_factor(_factor_bucket(n), self.quantile, self.confidence)
+
+    def _prefix_bounds(self, waits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The quote at each prefix length (see ``prefix_kernel``).
+
+        The waits between consecutive lengths are folded exactly as the
+        per-item feed folds what arrived between two refits, so the
+        running sums, and with them the quotes, match it bit for bit.
+        """
+        items = waits.tolist()
+        out = np.full(lengths.size, np.nan)
+        n, total, sumsq = 0, 0.0, 0.0
+        for i, m in enumerate(lengths.tolist()):
+            if m > n:
+                n, total, sumsq = _fold_logs(n, total, sumsq, items[n:m], self.shift)
+            if n >= 2:
+                out[i] = _tolerance_bound(n, total, sumsq, self._factor(n), self.shift)
+        return out
 
 
 register_batch_aware_observe(LogNormalPredictor.observe)

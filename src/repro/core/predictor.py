@@ -45,6 +45,7 @@ __all__ = [
     "REFIT_MODES",
     "SKETCH_REFIT_MODES",
     "observe_is_batch_aware",
+    "prefix_kernel",
     "register_batch_aware_observe",
 ]
 
@@ -96,6 +97,46 @@ def observe_is_batch_aware(predictor: "QuantilePredictor") -> bool:
     so scored drains are replayed per event instead.
     """
     return type(predictor).observe in _BATCH_AWARE_OBSERVE
+
+
+def prefix_kernel(
+    predictor: "QuantilePredictor",
+) -> Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """The predictor's prefix kernel, if its quotes depend on the prefix only.
+
+    Without a change-point detector, a sliding window or a sketch, an
+    exact-refit predictor's quote after absorbing the first ``n`` drained
+    waits depends on those waits alone, so a replay can compute every
+    quote it will ever quote in one call.  A class offers that call as
+    ``_prefix_bounds(waits, lengths)``: ``waits`` is the drained sequence
+    in drain order, ``lengths`` the strictly increasing prefix lengths at
+    which it refits, and the result holds the bound ``_compute_bound``
+    returns at each of those refits when fed ``waits`` one ``observe``
+    at a time (``NaN`` where it returns ``None``).
+
+    Returns the bound kernel, or ``None`` when the predictor must be
+    replayed event by event: it has a detector, a window or a
+    non-incremental refit mode; it already holds history or a quote; its
+    ``observe`` is an unregistered override; or the class that owns its
+    ``_compute_bound`` does not also own ``_prefix_bounds`` (a subclass
+    that redefines the bound inherits no kernel for it).
+    """
+    if (
+        predictor.detector is not None
+        or predictor.refit_mode != "incremental"
+        or predictor.history.max_size is not None
+        or len(predictor.history)
+        or predictor.predict() is not None
+        or not observe_is_batch_aware(predictor)
+    ):
+        return None
+    owner = next(
+        cls for cls in type(predictor).__mro__ if "_compute_bound" in vars(cls)
+    )
+    if "_prefix_bounds" not in vars(owner):
+        return None
+    return predictor._prefix_bounds
+
 
 #: Threshold used before any training data is available: the i.i.d. value
 #: from the paper's narrative ("three measurements in a row ... almost

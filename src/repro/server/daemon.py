@@ -341,6 +341,7 @@ class ForecastServer:
         while not done:
             line = await queue.get()
             if line is None:
+                done = True  # the reader's end sentinel: nothing follows
                 break
             lines = [line]
             while len(lines) < max_batch:

@@ -46,6 +46,7 @@ without dropping the connection.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
@@ -131,7 +132,10 @@ def _field(request: Dict[str, Any], name: str, kind, *, required: bool = True):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ProtocolError("bad-request", f"field {name!r} must be a number")
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):  # ``1e999`` decodes to inf
+            raise ProtocolError("bad-request", f"field {name!r} must be finite")
+        return value
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ProtocolError("bad-request", f"field {name!r} must be an integer")
@@ -141,6 +145,16 @@ def _field(request: Dict[str, Any], name: str, kind, *, required: bool = True):
             "bad-request", f"field {name!r} must be {kind.__name__}"
         )
     return value
+
+
+def _reject_constant(name: str) -> float:
+    raise ProtocolError("bad-request", f"non-finite number {name} is not JSON")
+
+
+#: ``json.loads`` accepts ``NaN`` and ``±Infinity``; this decoder answers
+#: them with ``bad-request``.  Built once: passing the hook to ``loads``
+#: would build a decoder per request.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def parse_request(line: bytes, ops: frozenset = OPS) -> Dict[str, Any]:
@@ -154,7 +168,9 @@ def parse_request(line: bytes, ops: frozenset = OPS) -> Dict[str, Any]:
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError("bad-request", "request line exceeds size limit")
     try:
-        raw = json.loads(line)
+        if isinstance(line, (bytes, bytearray)):
+            line = line.decode(json.detect_encoding(line), "surrogatepass")
+        raw = _DECODER.decode(line)
     except (ValueError, UnicodeDecodeError):
         raise ProtocolError("bad-json", "request is not valid JSON") from None
     if not isinstance(raw, dict):
@@ -280,11 +296,16 @@ def _query_float(query: Dict[str, str], name: str) -> Optional[float]:
     if name not in query:
         return None
     try:
-        return float(query[name])
+        value = float(query[name])
     except ValueError:
         raise ProtocolError(
             "bad-request", f"query parameter {name!r} must be a number"
         ) from None
+    if not math.isfinite(value):
+        raise ProtocolError(
+            "bad-request", f"query parameter {name!r} must be finite"
+        )
+    return value
 
 
 def http_request_to_op(

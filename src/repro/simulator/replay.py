@@ -35,7 +35,11 @@ Two engines implement these semantics:
   can move mid-segment; a non-mutating :meth:`~QuantilePredictor.would_fire`
   precheck detects that and drops the affected predictor to exact
   per-event replay for that segment, so outcomes match the reference
-  engine event for event.
+  engine event for event.  Predictors without a change-point detector
+  whose quote depends on the drained prefix alone skip the segment loop
+  entirely: the loop records the prefix length each refit sees, and one
+  call to the predictor's prefix kernel (see
+  :func:`~repro.core.predictor.prefix_kernel`) yields every quote.
 * ``"reference"`` — the original per-event loop, kept as the semantic
   oracle (``bmbp verify`` and the engine-identity property tests compare
   against it), as the implementation for ``epoch=0`` (per-event refits have
@@ -59,6 +63,7 @@ from repro.core.predictor import (
     BoundKind,
     QuantilePredictor,
     observe_is_batch_aware,
+    prefix_kernel,
 )
 from repro.core.refit import EpochBatch
 from repro.simulator.results import JobRecord, ReplayResult
@@ -299,6 +304,10 @@ def _replay_reference(
 #      change point would fire mid-segment (which moves the quote), that
 #      predictor alone replays the segment per event.
 #
+# Predictors with a prefix kernel take no part in steps 1–4: the loop only
+# records ``seg_p``, the drained prefix at each boundary refit, and the
+# kernels quote from it after the loop (``_serve_prefix_kernels``).
+#
 # Scoring is deferred entirely: one vectorized comparison + ratio pass per
 # predictor at the end, reading the quote arrays.  This is legal because
 # ``predict()`` is a pure read — interleaving scoring with drains (as the
@@ -320,8 +329,17 @@ def _replay_batched(
     predictors: Dict[str, QuantilePredictor],
     config: ReplayConfig,
 ) -> Dict[str, ReplayResult]:
-    names = list(predictors)
+    all_names = list(predictors)
     results = _make_results(trace, predictors)
+    # Detector-free predictors whose quote is a pure function of the
+    # drained prefix are served by their prefix kernels after the loop;
+    # only the rest are driven through it.
+    kernels = {}
+    for name in all_names:
+        kernel = prefix_kernel(predictors[name])
+        if kernel is not None:
+            kernels[name] = kernel
+    names = [name for name in all_names if name not in kernels]
     n = len(trace)
     n_train = config.resolve_training(n)
     epoch = config.epoch
@@ -355,7 +373,7 @@ def _replay_batched(
 
     # Per-predictor quote arrays: quotes[name][i] is the bound job i was
     # quoted at submit (NaN = none — training jobs and unready predictors).
-    quotes = {name: np.full(n, np.nan) for name in names}
+    quotes = {name: np.full(n, np.nan) for name in all_names}
 
     # Hot-loop state, hoisted out of the per-segment path: bound methods,
     # per-predictor flags, and Python-scalar copies of the arrays the
@@ -383,6 +401,12 @@ def _replay_batched(
             results[name].series_times.append(at)
             results[name].series_values.append(value)
 
+    # The refit schedule, recorded for the prefix kernels: the drained
+    # prefix length each segment's boundary refit saw, and the one
+    # ``finish_training`` saw in the transition segment.
+    seg_p = [0] * n_seg
+    p_train: Optional[int] = None
+    p_refit = -1  # drained prefix at the latest refit
     p = 0  # drained prefix length of ``order``
     seg = 0
     while seg < n_seg:
@@ -391,15 +415,13 @@ def _replay_batched(
         boundary = seg_boundary_l[seg]
 
         # Inert fast path: no job starts inside this segment's horizon and
-        # no refit is pending, so the quote cannot move — stamp it over a
-        # whole run of such segments without touching the predictors.
-        if (
-            lo > n_train
-            and horizon_last_l[seg] <= p
-            and all(pr.observations_since_refit == 0 for pr in preds)
-        ):
+        # nothing was drained since the last refit, so no quote can move —
+        # stamp the loop's quotes over a whole run of such segments without
+        # touching the predictors.
+        if lo > n_train and horizon_last_l[seg] <= p == p_refit:
             run_end = max(int(np.searchsorted(horizon_last, p, side="right")), seg + 1)
             run_hi = seg_hi_l[run_end - 1]
+            seg_p[seg:run_end] = [p] * (run_end - seg)
             for k in range(n_names):
                 value = preds[k].predict()
                 if value is None:
@@ -442,6 +464,7 @@ def _replay_batched(
             p = a_end
 
         # 2. Refit + series record, once per boundary.
+        seg_p[seg] = p_refit = p
         for k in range(n_names):
             pr = preds[k]
             pr.refit_if_stale()
@@ -460,10 +483,11 @@ def _replay_batched(
             # The training→evaluation transition happens mid-segment:
             # ``finish_training`` refits (moving the quote) at an arbitrary
             # job index, so replay this one segment exactly, per event.
-            p = _replay_transition_segment(
+            p, p_train = _replay_transition_segment(
                 predictors, names, quotes, t, waits, order, start_sorted,
                 p, lo, hi, n_train,
             )
+            p_refit = p_train
             seg += 1
             continue
 
@@ -566,11 +590,18 @@ def _replay_batched(
         p = d_end
         seg += 1
 
+    if kernels:
+        _serve_prefix_kernels(
+            predictors, kernels, quotes, results, waits[order[:p]],
+            np.asarray(seg_p), seg_lo, seg_hi, seg_boundary, p_train, p_refit,
+            n_train, config,
+        )
+
     # Deferred scoring: one vectorized pass per predictor over the
     # evaluation suffix, reproducing the reference engine's per-job
     # outcomes (same floats, same order) from the quote arrays.
     procs = trace.procs if config.record_jobs else None
-    for name in names:
+    for name in all_names:
         result = results[name]
         predictor = predictors[name]
         if n_train < n:
@@ -607,6 +638,70 @@ def _replay_batched(
             result.change_points = predictor.detector.change_points_seen
             result.miss_threshold = predictor.detector.threshold
     return results
+
+
+def _serve_prefix_kernels(
+    predictors: Dict[str, QuantilePredictor],
+    kernels: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]],
+    quotes: Dict[str, np.ndarray],
+    results: Dict[str, ReplayResult],
+    drained: np.ndarray,
+    seg_p: np.ndarray,
+    seg_lo: np.ndarray,
+    seg_hi: np.ndarray,
+    seg_boundary: np.ndarray,
+    p_train: Optional[int],
+    p_refit: int,
+    n_train: int,
+    config: ReplayConfig,
+) -> None:
+    """Quote, record and settle the predictors in ``kernels`` in one pass.
+
+    A detector-free predictor refits only at segment boundaries and at
+    ``finish_training``, and each refit's quote is its kernel's value at
+    the prefix drained by then.  So segment ``s`` is quoted (and its series
+    point recorded) at ``seg_p[s]``, except the transition segment's
+    evaluated jobs, which get the ``finish_training`` quote at
+    ``p_train``.  Each predictor then ends in the state the loop would
+    have left: the drained waits as history, the last refit's quote, and
+    the count drained since that refit.
+    """
+    n_seg = seg_p.size
+    n = int(seg_hi[-1])
+    # Every refit prefix, ``p_refit`` (the latest) included.
+    lengths = np.unique(seg_p if p_train is None else np.append(seg_p, p_train))
+    at_seg = np.searchsorted(lengths, seg_p)
+    if n_train < n:
+        job_seg = np.repeat(np.arange(n_seg), seg_hi - seg_lo)[n_train:]
+        at_job = at_seg[job_seg]
+        # The transition segment's evaluated jobs: quoted after training.
+        at_job[: int(seg_hi[job_seg[0]]) - n_train] = np.searchsorted(
+            lengths, p_train
+        )
+    at_last = int(np.searchsorted(lengths, p_refit))
+    window = config.series_window
+    in_window = (
+        np.ones(n_seg, dtype=bool)
+        if window is None
+        else (window[0] <= seg_boundary) & (seg_boundary < window[1])
+    )
+    for name, kernel in kernels.items():
+        values = kernel(drained, lengths)
+        if n_train < n:
+            quotes[name][n_train:] = values[at_job]
+        if config.record_series:
+            series = values[at_seg]
+            keep = in_window & ~np.isnan(series)
+            results[name].series_times.extend(seg_boundary[keep].tolist())
+            results[name].series_values.extend(series[keep].tolist())
+        last = float(values[at_last])
+        predictor = predictors[name]
+        predictor.preload_history(drained)
+        predictor.restore_quote(
+            None if math.isnan(last) else last, drained.size - p_refit
+        )
+        if p_train is not None:
+            predictor.mark_trained()
 
 
 def _feed_scored_with_fires(
@@ -718,8 +813,12 @@ def _replay_transition_segment(
     lo: int,
     hi: int,
     n_train: int,
-) -> int:
-    """Exact per-event replay of the segment containing the training cutoff."""
+) -> Tuple[int, int]:
+    """Exact per-event replay of the segment containing the training cutoff.
+
+    Returns the drained prefix lengths at the segment's end and at the
+    ``finish_training`` call.
+    """
     for i in range(lo, hi):
         chunk, p = _drain_chunk(order, start_sorted, p, float(t[i]), i)
         if chunk is not None:
@@ -728,6 +827,7 @@ def _replay_transition_segment(
                 for name in names:
                     _feed_one(predictors[name], quotes[name], wait, j)
         if i == n_train:
+            p_train = p
             for name in names:
                 predictors[name].finish_training()
         if i >= n_train:
@@ -735,7 +835,7 @@ def _replay_transition_segment(
                 value = predictors[name].predict()
                 if value is not None:
                     quotes[name][i] = value
-    return p
+    return p, p_train
 
 
 def _replay_segment_sequential(

@@ -62,8 +62,9 @@ class ReplayResult:
     @property
     def median_ratio(self) -> float:
         """Median of actual/predicted over evaluated jobs (the Table 4 metric)."""
-        finite = [r for r in self.ratios if np.isfinite(r)]
-        if not finite:
+        ratios = np.asarray(self.ratios, dtype=float)
+        finite = ratios[np.isfinite(ratios)]
+        if not finite.size:
             return float("nan")
         return float(np.median(finite))
 

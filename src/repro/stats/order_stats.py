@@ -8,12 +8,18 @@ match the statistical convention (and the paper's notation ``x_(k)``).
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["order_statistic", "quantile_index", "rank_of_value"]
+__all__ = [
+    "order_statistic",
+    "prefix_order_statistics",
+    "quantile_index",
+    "rank_of_value",
+]
 
 
 def order_statistic(sorted_values: Sequence[float], k: int) -> float:
@@ -59,3 +65,39 @@ def rank_of_value(sorted_values: Sequence[float], value: float) -> int:
     is the fraction of the sample at or below ``x``.
     """
     return int(np.searchsorted(sorted_values, value, side="right"))
+
+
+def prefix_order_statistics(
+    values: Sequence[float], lengths: Sequence[int], ranks: Sequence[int]
+) -> np.ndarray:
+    """``sorted(values[:m])[k - 1]`` for every ``(m, k)`` pair, in one pass.
+
+    ``lengths`` must be non-decreasing and each rank ``k`` within
+    ``[1, m]``.  The growing prefix is split between two heaps: a max-heap
+    of its ``k`` smallest values (whose top is the answer) and a min-heap
+    of the rest.  Each new value enters one heap, and each query moves
+    values across the split until the low heap holds exactly ``k``; when
+    consecutive ranks differ by at most the values added between them (a
+    quantile rank, for one) that is O(log m) per value.  The answers are
+    the stored floats themselves, so they equal the sorted-prefix reads
+    bit for bit.
+    """
+    low: list = []  # negated: a max-heap of the k smallest
+    high: list = []  # min-heap of the rest
+    push, pop = heapq.heappush, heapq.heappop
+    out = np.empty(len(lengths))
+    items = np.asarray(values, dtype=float).tolist()
+    fed = 0
+    for i, (m, k) in enumerate(zip(lengths, ranks)):
+        for x in items[fed:m]:
+            if low and x < -low[0]:
+                push(low, -x)
+            else:
+                push(high, x)
+        fed = m
+        while len(low) < k:
+            push(low, -pop(high))
+        while len(low) > k:
+            push(high, -pop(low))
+        out[i] = -low[0]
+    return out

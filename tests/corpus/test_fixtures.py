@@ -1,7 +1,11 @@
 """Tests for the deterministic archive-shaped fixture generator."""
 
 import gzip
+import hashlib
 
+import pytest
+
+from repro.corpus import etl
 from repro.corpus.fixtures import (
     FIXTURE_QUEUES,
     expected_drops,
@@ -39,6 +43,27 @@ class TestShape:
             assert summary.anomalies[kind] > 0
         assert summary.partial_records > 0
         assert expected_drops(summary) == summary.anomalies
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5, 8])
+    def test_ledger_matches_ingest_at_short_gaps(self, tmp_path, seed):
+        # At a 5 s gap the first clock-skew row, clamped at submit 0, can
+        # sit inside the ETL's skew tolerance; the ETL keeps it, so the
+        # ledger must not count it.
+        summary = generate_corpus_fixture(
+            tmp_path / "f.swf.gz", jobs=5000, seed=seed, base_gap=5.0
+        )
+        _, stats = etl.ingest(summary.path, tmp_path / "store")
+        drops = expected_drops(summary)
+        assert dict(stats.drops) == drops
+        assert stats.kept == summary.records - sum(drops.values())
+
+    def test_short_gap_log_bytes_unchanged(self, tmp_path):
+        # The benchmark's dense log: the ledger fix must not move a byte.
+        path = tmp_path / "dense.swf.gz"
+        generate_corpus_fixture(path, jobs=60_000, seed=1, base_gap=5.0)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "1479dae71e7fe45534672492843656363d20fa1ff5c2786c11f575a83ae728cf"
+        )
 
     def test_header_declares_queues(self, tmp_path):
         path = tmp_path / "f.swf.gz"

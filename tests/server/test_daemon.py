@@ -231,6 +231,26 @@ class TestCrashRecovery:
             proc_b2.terminate()
             proc_b2.wait(timeout=10.0)
 
+    def test_sigterm_after_client_disconnect_exits_promptly(self, tmp_path):
+        # The disconnected client's worker must not hold shutdown for the
+        # whole drain timeout waiting for a second end sentinel.
+        state_dir = tmp_path / "quick"
+        process = spawn_daemon(
+            state_dir, extra_args=self.EXTRA + ["--drain-timeout", "30.0"]
+        )
+        client = ForecastClient("127.0.0.1", read_port_file(state_dir))
+        client.wait_until_up()
+        client.submit("open-job", "q", 1, now=0.0)
+        client.close()
+        time.sleep(0.2)  # let the daemon see the disconnect
+        process.send_signal(signal.SIGTERM)
+        try:
+            assert process.wait(timeout=15.0) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+
     def test_sigterm_drains_and_checkpoints(self, tmp_path):
         state_dir = tmp_path / "drain"
         process = spawn_daemon(

@@ -78,6 +78,24 @@ class TestParseRequest:
             with pytest.raises(ProtocolError):
                 parse(bad)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("template", [
+        '{"op": "submit", "job": "a", "queue": "q", "procs": 1, "now": %s}',
+        '{"op": "start", "job": "a", "now": %s}',
+        '{"op": "forecast", "queue": "q", "procs": %s}',
+    ])
+    def test_non_finite_numbers_rejected(self, template, literal):
+        with pytest.raises(ProtocolError) as err:
+            parse_request((template % literal).encode())
+        assert err.value.code == "bad-request"
+
+    def test_non_finite_query_number_rejected(self):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ProtocolError) as err:
+                http_request_to_op("GET", "/route", {"walltime": value},
+                                   routes={"/route": "route"})
+            assert err.value.code == "bad-request"
+
     def test_oversized_line_rejected(self):
         line = b'{"op": "healthz", "pad": "' + b"x" * MAX_LINE_BYTES + b'"}'
         with pytest.raises(ProtocolError) as err:

@@ -19,19 +19,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import (
+    DowneyLogUniformPredictor,
     MaxObservedPredictor,
     MeanWaitPredictor,
     PointQuantilePredictor,
+    WeibullPredictor,
 )
 from repro.core import BMBPPredictor, BoundKind, LogNormalPredictor
+from repro.core.predictor import prefix_kernel
 from repro.runtime import configure, reset_configuration
 from repro.simulator.replay import ENGINE_ENV_VAR, ReplayConfig, replay
+from repro.stats.order_stats import prefix_order_statistics
 
 
 def _bank():
     """Predictors covering every kernel path: order-statistic and running-sum
     refits, trimming (short lengths so random traces actually fire),
-    sliding windows, non-batch-aware overrides, and a lower bound."""
+    sliding windows, non-batch-aware overrides, a lower bound, and the
+    detector-free methods the batched engine serves by prefix kernel."""
     return {
         "bmbp-trim": BMBPPredictor(trim=True, trim_length=4),
         "bmbp-window": BMBPPredictor(trim=False, max_history=16),
@@ -39,10 +44,23 @@ def _bank():
         "logn-lower": LogNormalPredictor(
             quantile=0.05, kind=BoundKind.LOWER, trim=True, trim_length=4
         ),
+        "logn-notrim": LogNormalPredictor(trim=False),
+        "downey": DowneyLogUniformPredictor(),
+        "weibull": WeibullPredictor(),
         "point": PointQuantilePredictor(),
+        "point-notrim": PointQuantilePredictor(trim=False),
+        "point-window": PointQuantilePredictor(trim=False, max_history=16),
         "max-observed": MaxObservedPredictor(),
         "mean-wait": MeanWaitPredictor(),
+        "mean-wait-notrim": MeanWaitPredictor(trim=False),
     }
+
+
+#: ``_bank()`` entries the batched engine must serve by prefix kernel: the
+#: detector-free exact ones (``point`` and ``mean-wait`` trim by default).
+_KERNEL_SERVED = {
+    "logn-notrim", "downey", "point-notrim", "max-observed", "mean-wait-notrim",
+}
 
 
 def _make_trace(gaps, waits):
@@ -52,27 +70,53 @@ def _make_trace(gaps, waits):
     return Trace.from_arrays(submits, np.asarray(waits, dtype=float), name="prop")
 
 
-def _assert_identical(trace, config):
-    batched = replay(trace, _bank(), config, engine="batched")
-    reference = replay(trace, _bank(), config, engine="reference")
+#: Methods held to a documented band instead of the exact tier.  Weibull's
+#: streamed fit is path-dependent (a batch absorb resyncs it, per-item
+#: observes stream it), so its bounds agree within the streaming band and
+#: a job whose ratio sits that close to 1 may score differently.
+_BANDED = {"weibull": 1e-2}
+
+
+def _kernel_bank():
+    """Only kernel-served predictors: the segment loop drives none."""
+    return {name: pr for name, pr in _bank().items() if name in _KERNEL_SERVED}
+
+
+def _assert_identical(trace, config, make_bank=_bank):
+    banks = {"batched": make_bank(), "reference": make_bank()}
+    served = {name for name, pr in banks["batched"].items() if prefix_kernel(pr)}
+    assert served == _KERNEL_SERVED
+    batched = replay(trace, banks["batched"], config, engine="batched")
+    reference = replay(trace, banks["reference"], config, engine="reference")
     assert set(batched) == set(reference)
     for name in batched:
+        rtol = _BANDED.get(name, 1e-9)
+        # Both engines leave every predictor in the same state.
+        pa, pb = banks["batched"][name], banks["reference"][name]
+        assert len(pa.history) == len(pb.history), name
+        assert pa.observations_since_refit == pb.observations_since_refit, name
+        assert pa.trained == pb.trained, name
+        qa, qb = pa.predict(), pb.predict()
+        assert (qa is None) == (qb is None), name
+        if qb is not None:
+            np.testing.assert_allclose(qa, qb, rtol=rtol, err_msg=name)
         a, b = batched[name], reference[name]
         assert a.n_evaluated == b.n_evaluated, name
-        assert a.n_correct == b.n_correct, name
+        if name not in _BANDED:
+            assert a.n_correct == b.n_correct, name
         assert a.n_skipped == b.n_skipped, name
         assert a.change_points == b.change_points, name
         ra, rb = np.asarray(a.ratios), np.asarray(b.ratios)
         assert ra.shape == rb.shape, name
         finite = np.isfinite(rb)
         assert np.array_equal(np.isfinite(ra), finite), name
-        np.testing.assert_allclose(ra[finite], rb[finite], rtol=1e-9, err_msg=name)
+        np.testing.assert_allclose(ra[finite], rb[finite], rtol=rtol, err_msg=name)
         assert list(a.series_times) == list(b.series_times), name
         sa = np.asarray(a.series_values, dtype=float)
         sb = np.asarray(b.series_values, dtype=float)
         assert np.array_equal(np.isnan(sa), np.isnan(sb)), name
         ok = ~np.isnan(sb)
-        np.testing.assert_allclose(sa[ok], sb[ok], rtol=1e-9, err_msg=name)
+        np.testing.assert_allclose(sa[ok], sb[ok], rtol=rtol, err_msg=name)
 
 
 # Coarse gap choices create tied submit times (gap 0), multiple jobs per
@@ -88,6 +132,66 @@ WAITS = st.one_of(
 JOBS = st.lists(st.tuples(GAPS, WAITS), min_size=5, max_size=50)
 
 
+class TestPrefixKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.just(0.0), st.sampled_from([1.0, 7.0]),
+                      st.floats(min_value=0.0, max_value=1e6)),
+            min_size=1, max_size=60,
+        ),
+        data=st.data(),
+    )
+    def test_prefix_order_statistics_match_sorted_prefixes(self, values, data):
+        # Zero and tied waits included; ranks jump around within [1, m].
+        lengths = sorted(set(data.draw(st.lists(
+            st.integers(min_value=1, max_value=len(values)), min_size=1))))
+        ranks = [data.draw(st.integers(min_value=1, max_value=m)) for m in lengths]
+        got = prefix_order_statistics(np.asarray(values), lengths, ranks)
+        want = [sorted(values[:m])[k - 1] for m, k in zip(lengths, ranks)]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("every", [1, 3, 17])
+    def test_kernels_match_per_item_refits(self, every):
+        # Refit after every ``every``-th wait, as a replay's boundaries do:
+        # each kernel must reproduce the per-item feed's quotes exactly.
+        rng = np.random.default_rng(8)
+        waits = rng.lognormal(3.0, 1.5, 300)
+        waits[::7] = 0.0
+        waits[5:12] = 20.0
+        lengths = np.arange(0, 301, every)
+        for name in sorted(_KERNEL_SERVED):
+            probe = _bank()[name]
+            want, fed = [], 0
+            for m in lengths:
+                for wait in waits[fed:m].tolist():
+                    probe.observe(wait)
+                fed = m
+                value = probe._compute_bound()
+                want.append(np.nan if value is None else value)
+            got = prefix_kernel(_bank()[name])(waits, lengths)
+            assert np.array_equal(got, want, equal_nan=True), name
+
+    def test_eligibility_is_a_class_capability(self):
+        class Overridden(MeanWaitPredictor):
+            def _compute_bound(self):
+                return 1.0
+
+        assert prefix_kernel(MeanWaitPredictor(trim=False)) is not None
+        assert prefix_kernel(MeanWaitPredictor()) is None  # trims by default
+        assert prefix_kernel(Overridden(trim=False)) is None
+        assert prefix_kernel(
+            MeanWaitPredictor(trim=False, refit_mode="recompute")
+        ) is None
+        assert prefix_kernel(MaxObservedPredictor(trim=True)) is None
+        assert prefix_kernel(
+            PointQuantilePredictor(trim=False, refit_mode="p2")
+        ) is None
+        used = MeanWaitPredictor(trim=False)
+        used.observe(3.0)
+        assert prefix_kernel(used) is None
+
+
 class TestEngineIdentityProperty:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -101,6 +205,15 @@ class TestEngineIdentityProperty:
             epoch=epoch, training_fraction=training, record_series=True
         )
         _assert_identical(trace, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(jobs=JOBS, training=st.sampled_from([0.0, 0.3]))
+    def test_kernel_only_bank(self, jobs, training):
+        # With no predictor left in the loop, the refit schedule and the
+        # inert-run shortcut must still follow the drains alone.
+        trace = _make_trace([g for g, _ in jobs], [w for _, w in jobs])
+        config = ReplayConfig(training_fraction=training, record_series=True)
+        _assert_identical(trace, config, make_bank=_kernel_bank)
 
     @settings(max_examples=15, deadline=None)
     @given(jobs=JOBS)
@@ -270,6 +383,20 @@ class TestEngineIdentityDeterministic:
         trace = _make_trace([0.0, 0.0, 300.5, 0.0, 0.0, 0.0, 300.5, 0.0] * 4,
                             [0.0] * 32)
         _assert_identical(trace, ReplayConfig(record_series=True))
+
+    def test_kernel_only_refit_after_intra_segment_drains(self):
+        # Jobs drained inside the first segment leave a refit pending at
+        # the next boundary even though nothing starts before it; the
+        # kernel-served predictors must end having refit there.
+        trace = _make_trace([0.0, 10.0, 10.0, 880.0], [0.0, 5.0, 5000.0, 5000.0])
+        _assert_identical(trace, ReplayConfig(), make_bank=_kernel_bank)
+
+    def test_zero_waits_then_outlier(self):
+        # All-zero history drives the Weibull shape up until a later
+        # wait's streamed term overflows; both engines must resync.
+        gaps = [0.0] * 8 + [301.0] * 3 + [900.0]
+        waits = [0.0] * 7 + [1801.0] + [0.0] * 4
+        _assert_identical(_make_trace(gaps, waits), ReplayConfig(epoch=50.0))
 
     def test_single_job_segments_small_batch_path(self):
         # One job per epoch: exercises the scalar small-batch feed.

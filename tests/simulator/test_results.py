@@ -51,6 +51,20 @@ class TestMetrics:
         result.record_outcome(math.inf, False)
         assert math.isnan(result.median_ratio)
 
+    def test_median_ratio_matches_per_element_filter(self):
+        # The finite mask must pick exactly the ratios a per-element
+        # ``np.isfinite`` filter keeps, nan and -inf included.
+        rng = np.random.default_rng(4)
+        ratios = rng.lognormal(0.0, 1.0, 501).tolist()
+        ratios[::7] = [math.inf] * len(ratios[::7])
+        ratios[3::11] = [math.nan] * len(ratios[3::11])
+        ratios[5] = -math.inf
+        result = make_result(ratios=ratios)
+        expected = float(np.median([r for r in ratios if np.isfinite(r)]))
+        assert result.median_ratio == expected
+        assert math.isnan(make_result(ratios=[math.nan, -math.inf]).median_ratio)
+        assert math.isnan(make_result().median_ratio)
+
     def test_series_arrays(self):
         result = make_result()
         result.series_times.extend([1.0, 2.0])
