@@ -113,7 +113,9 @@ class DowneyLogUniformPredictor(QuantilePredictor):
         # "lower" quote — the model carries no confidence margin to shift it.
         return max(0.0, fitted.quantile(self.quantile))
 
-    def _prefix_bounds(self, waits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def _prefix_bounds(
+        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0
+    ) -> np.ndarray:
         """The quote at each prefix length (see ``prefix_kernel``).
 
         The running extremes change only at record-setting waits, so

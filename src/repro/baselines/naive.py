@@ -82,7 +82,9 @@ class MaxObservedPredictor(QuantilePredictor):
     def _compute_bound(self) -> Optional[float]:
         return self._extreme
 
-    def _prefix_bounds(self, waits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def _prefix_bounds(
+        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0
+    ) -> np.ndarray:
         """Running extreme at each prefix length (see ``prefix_kernel``)."""
         running = (
             np.maximum if self.kind is BoundKind.UPPER else np.minimum
@@ -139,7 +141,9 @@ class PointQuantilePredictor(QuantilePredictor):
             return float(np.sort(self.history.arrival_view())[rank - 1])
         return self.history.rank_value(self._rank_key)
 
-    def _prefix_bounds(self, waits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def _prefix_bounds(
+        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0
+    ) -> np.ndarray:
         """Exact prefix order statistics at ``_point_rank`` (see
         ``prefix_kernel``)."""
         out = np.full(lengths.size, np.nan)
@@ -190,13 +194,22 @@ class MeanWaitPredictor(QuantilePredictor):
             return float(self.history.arrival_view().mean())
         return self._sum / self._n
 
-    def _prefix_bounds(self, waits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def _prefix_bounds(
+        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0
+    ) -> np.ndarray:
         """Running mean at each prefix length (see ``prefix_kernel``).
 
         ``np.cumsum`` adds left to right like the per-item ``_sum += wait``
-        feed, so each quote equals the per-event one bit for bit.
+        feed, starting from the pairwise ``sum`` that
+        ``_on_history_trimmed`` rebuilds a trimmed window with, so each
+        quote equals the per-event one bit for bit.
         """
-        return _at_lengths(np.cumsum(waits), lengths) / np.maximum(lengths, 1)
+        running = np.cumsum(np.concatenate(([waits[:window].sum()], waits[window:])))
+        out = np.full(lengths.size, np.nan)
+        quoted = lengths > 0
+        m = lengths[quoted]
+        out[quoted] = running[m - window] / m
+        return out
 
 
 def _at_lengths(running: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from repro.core.predictor import (
     QuantilePredictor,
 )
 from repro.core.quantile import bound_rank
+from repro.stats.order_stats import prefix_order_statistics
 
 __all__ = ["BMBPPredictor"]
 
@@ -161,3 +162,21 @@ class BMBPPredictor(QuantilePredictor):
         # maintained sorted view — bit-identical to the recompute path,
         # O(observations since the last read) instead of O(n log n).
         return self.history.rank_value(self._rank_key)
+
+    def _prefix_bounds(
+        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0
+    ) -> np.ndarray:
+        """Exact prefix order statistics at ``_bound_rank`` (see
+        ``prefix_kernel``); ``NaN`` where the window is too small for a
+        bound at this confidence."""
+        out = np.full(lengths.size, np.nan)
+        quoted, m, ranks = [], [], []
+        for i, n in enumerate(lengths.tolist()):
+            rank = self._bound_rank(n) if n else None
+            if rank is not None:
+                quoted.append(i)
+                m.append(n)
+                ranks.append(rank)
+        if quoted:
+            out[quoted] = prefix_order_statistics(waits, m, ranks)
+        return out

@@ -129,6 +129,17 @@ class ConsecutiveMissDetector:
         self._run = 0
         self._change_points += 1
 
+    def count_change_points(self, fires: int) -> None:
+        """Add ``fires`` fires established outside the detector.
+
+        The replay's prefix-kernel driver scans a whole replay's miss runs
+        itself and settles the count once, instead of one
+        :meth:`mark_change_point` per fire.
+        """
+        if fires < 0:
+            raise ValueError(f"fire count must be non-negative, got {fires}")
+        self._change_points += fires
+
     def reset(self) -> None:
         self._run = 0
 

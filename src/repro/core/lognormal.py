@@ -99,6 +99,13 @@ def _fold_logs(
     return n + len(waits), total, sumsq
 
 
+def _window_moments(values: np.ndarray, shift: float) -> Tuple[int, float, float]:
+    """``(n, Σ, Σ²)`` of a whole window's shifted logs in one vectorized
+    pass: how a trim (or a bulk preload) rebuilds the running sums."""
+    logs = np.log(values + shift)
+    return int(logs.size), float(logs.sum()), float(np.dot(logs, logs))
+
+
 def _tolerance_bound(
     n: int, total: float, sumsq: float, factor: float, shift: float
 ) -> float:
@@ -201,10 +208,9 @@ class LogNormalPredictor(QuantilePredictor):
         the retained window already contains them.
         """
         self._pending.clear()
-        logs = np.log(self.history.arrival_view() + self.shift)
-        self._n = int(logs.size)
-        self._sum = float(logs.sum())
-        self._sumsq = float(np.dot(logs, logs))
+        self._n, self._sum, self._sumsq = _window_moments(
+            self.history.arrival_view(), self.shift
+        )
 
     def _compute_bound(self) -> Optional[float]:
         self._fold_pending()
@@ -221,21 +227,50 @@ class LogNormalPredictor(QuantilePredictor):
             return _upper_factor(_factor_bucket(n), self.quantile, self.confidence)
         return _lower_factor(_factor_bucket(n), self.quantile, self.confidence)
 
-    def _prefix_bounds(self, waits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def _prefix_bounds(
+        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0
+    ) -> np.ndarray:
         """The quote at each prefix length (see ``prefix_kernel``).
 
-        The waits between consecutive lengths are folded exactly as the
-        per-item feed folds what arrived between two refits, so the
-        running sums, and with them the quotes, match it bit for bit.
+        A trimmed window's sums are rebuilt as ``_on_history_trimmed``
+        rebuilds them, and the waits between consecutive lengths are
+        folded exactly as the per-item feed folds what arrived between two
+        refits (``_fold_logs``: one or two ``math.log`` terms at a time,
+        longer runs as one vectorized sum).  Collecting those terms in
+        feed order and accumulating them with ``np.cumsum`` performs the
+        same additions in the same order, and ``_tolerance_bound``'s
+        arithmetic is elementwise, so the quotes match the per-item feed
+        bit for bit.
         """
-        items = waits.tolist()
+        shift = self.shift
+        n, total, sumsq = _window_moments(waits[:window], shift)
+        terms, terms_sq, at = [total], [sumsq], []
+        for m in lengths.tolist():
+            if m - n > 2:
+                logs = np.log(waits[n:m] + shift)
+                terms.append(float(logs.sum()))
+                terms_sq.append(float(np.dot(logs, logs)))
+            else:
+                for wait in waits[n:m].tolist():
+                    log_wait = math.log(wait + shift)
+                    terms.append(log_wait)
+                    terms_sq.append(log_wait * log_wait)
+            n = m
+            at.append(len(terms) - 1)
         out = np.full(lengths.size, np.nan)
-        n, total, sumsq = 0, 0.0, 0.0
-        for i, m in enumerate(lengths.tolist()):
-            if m > n:
-                n, total, sumsq = _fold_logs(n, total, sumsq, items[n:m], self.shift)
-            if n >= 2:
-                out[i] = _tolerance_bound(n, total, sumsq, self._factor(n), self.shift)
+        fitted = np.flatnonzero(lengths >= 2)
+        if fitted.size:
+            count = lengths[fitted].astype(float)
+            mean = np.cumsum(terms)[at][fitted] / count
+            var = np.maximum(
+                0.0,
+                (np.cumsum(terms_sq)[at][fitted] - count * mean * mean) / (count - 1),
+            )
+            factor = [self._factor(k) for k in lengths[fitted].tolist()]
+            exponent = np.minimum(mean + factor * np.sqrt(var), _MAX_EXPONENT)
+            out[fitted] = np.maximum(
+                0.0, [math.exp(x) - shift for x in exponent.tolist()]
+            )
         return out
 
 

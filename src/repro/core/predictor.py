@@ -93,8 +93,8 @@ def observe_is_batch_aware(predictor: "QuantilePredictor") -> bool:
 
     The batched replay engine treats an unregistered override
     conservatively: its per-observation behaviour (and thus its change-point
-    interaction) cannot be modelled by :meth:`QuantilePredictor.would_fire`,
-    so scored drains are replayed per event instead.
+    interaction) cannot be modelled by a vectorized hit/miss scan, so
+    scored drains are replayed per event instead.
     """
     return type(predictor).observe in _BATCH_AWARE_OBSERVE
 
@@ -102,28 +102,34 @@ def observe_is_batch_aware(predictor: "QuantilePredictor") -> bool:
 def prefix_kernel(
     predictor: "QuantilePredictor",
 ) -> Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-    """The predictor's prefix kernel, if its quotes depend on the prefix only.
+    """The predictor's prefix kernel, if its quotes depend on the window only.
 
-    Without a change-point detector, a sliding window or a sketch, an
-    exact-refit predictor's quote after absorbing the first ``n`` drained
-    waits depends on those waits alone, so a replay can compute every
-    quote it will ever quote in one call.  A class offers that call as
-    ``_prefix_bounds(waits, lengths)``: ``waits`` is the drained sequence
-    in drain order, ``lengths`` the strictly increasing prefix lengths at
-    which it refits, and the result holds the bound ``_compute_bound``
-    returns at each of those refits when fed ``waits`` one ``observe``
-    at a time (``NaN`` where it returns ``None``).
+    Without a sliding window or a sketch, an exact-refit predictor's quote
+    after absorbing the first ``n`` drained waits depends on those waits
+    alone, so a replay can compute every quote it will ever quote in one
+    call.  A change-point trim only moves where the window starts: between
+    two fires each quote is a function of the retained waits
+    ``waits[s:n]``, so the same call serves a trimming predictor one fire
+    at a time.  A class offers that call as
+    ``_prefix_bounds(waits, lengths, window=0)``: ``waits`` is the drained
+    sequence in drain order, ``lengths`` the strictly increasing prefix
+    lengths at which it refits, and the result holds the bound
+    ``_compute_bound`` returns at each of those refits when fed ``waits``
+    one ``observe`` at a time (``NaN`` where it returns ``None``).  With
+    ``window = w > 0`` the first ``w`` waits are instead the window a trim
+    left behind, rebuilt by ``_on_history_trimmed`` (every length is then
+    at least ``w``); kernels whose running sums depend on how the window
+    was assembled reproduce that rebuild, the others ignore it.
 
     Returns the bound kernel, or ``None`` when the predictor must be
-    replayed event by event: it has a detector, a window or a
-    non-incremental refit mode; it already holds history or a quote; its
-    ``observe`` is an unregistered override; or the class that owns its
-    ``_compute_bound`` does not also own ``_prefix_bounds`` (a subclass
-    that redefines the bound inherits no kernel for it).
+    replayed event by event: it has a window or a non-incremental refit
+    mode; it already holds history or a quote; its ``observe`` is an
+    unregistered override; or the class that owns its ``_compute_bound``
+    does not also own ``_prefix_bounds`` (a subclass that redefines the
+    bound inherits no kernel for it).
     """
     if (
-        predictor.detector is not None
-        or predictor.refit_mode != "incremental"
+        predictor.refit_mode != "incremental"
         or predictor.history.max_size is not None
         or len(predictor.history)
         or predictor.predict() is not None
@@ -323,31 +329,6 @@ class QuantilePredictor(ABC):
             k += fire_k + 1
             carry = 0
 
-    def would_fire(
-        self, waits: np.ndarray, predicted: np.ndarray
-    ) -> bool:
-        """Whether feeding this batch would trip the change-point detector.
-
-        Non-mutating companion to :meth:`observe_batch`: the replay engine
-        prechecks a segment's drain batch with this before scoring the
-        segment against a constant quote, and drops to per-event replay
-        when a mid-segment trim (which changes the quote) is coming.
-        """
-        detector = self.detector
-        if not self.trim or detector is None or waits.size == 0:
-            return False
-        scored = ~np.isnan(predicted)
-        if not scored.any():
-            return False
-        if self.kind is BoundKind.UPPER:
-            miss = waits[scored] > predicted[scored]
-        else:
-            miss = waits[scored] < predicted[scored]
-        return (
-            first_fire_index(miss, detector.current_run, detector.threshold)
-            is not None
-        )
-
     def feed_scored(
         self,
         waits: np.ndarray,
@@ -441,14 +422,26 @@ class QuantilePredictor(ABC):
         Called once, when a trace's training prefix has been absorbed.  Safe
         to call for the NoTrim variants (it just refits).
         """
-        if self.trim and len(self.history) >= 3:
-            # Zero-copy view: the training history can be hundreds of
-            # thousands of waits, and this must not list-ify it.
-            rho = first_autocorrelation(self.history.arrival_view(), log_space=True)
-            table = self._table or default_rare_event_table(self.quantile)
-            self.detector.retune(table.threshold_for(rho))
+        # Zero-copy view: the training history can be hundreds of
+        # thousands of waits, and this must not list-ify it.
+        threshold = self.tuned_threshold(self.history.arrival_view())
+        if threshold is not None:
+            self.detector.retune(threshold)
         self._trained = True
         self.refit()
+
+    def tuned_threshold(self, training: np.ndarray) -> Optional[int]:
+        """The miss threshold ``finish_training`` tunes from ``training``.
+
+        The rare-event table's run length for the training waits' lag-1
+        autocorrelation (in log space); ``None`` — keep the current
+        threshold — for the NoTrim variants and for fewer than three waits.
+        """
+        if not self.trim or len(training) < 3:
+            return None
+        rho = first_autocorrelation(training, log_space=True)
+        table = self._table or default_rare_event_table(self.quantile)
+        return table.threshold_for(rho)
 
     @property
     def trained(self) -> bool:

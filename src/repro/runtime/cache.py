@@ -60,7 +60,7 @@ CACHE_VERSION = 1
 #: unit merge semantics.  Bump on any change that can move a per-queue
 #: coverage row; data changes are covered by the content digests in the
 #: key itself.
-CORPUS_REPLAY_VERSION = 2
+CORPUS_REPLAY_VERSION = 3
 
 _FALSY = {"0", "false", "no", "off", ""}
 

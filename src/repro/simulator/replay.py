@@ -32,14 +32,15 @@ Two engines implement these semantics:
   through :meth:`QuantilePredictor.observe_batch`, the segment's jobs all
   receive the same quote, and correctness/ratio scoring happens in one
   final numpy pass per predictor.  Change points are the one way a quote
-  can move mid-segment; a non-mutating :meth:`~QuantilePredictor.would_fire`
-  precheck detects that and drops the affected predictor to exact
-  per-event replay for that segment, so outcomes match the reference
-  engine event for event.  Predictors without a change-point detector
-  whose quote depends on the drained prefix alone skip the segment loop
-  entirely: the loop records the prefix length each refit sees, and one
-  call to the predictor's prefix kernel (see
-  :func:`~repro.core.predictor.prefix_kernel`) yields every quote.
+  can move mid-segment; a hit/miss scan of the segment's drains finds the
+  firing drain, feeds up to it and requotes the rest of the segment
+  (:meth:`~QuantilePredictor.feed_scored`), so outcomes match the
+  reference engine event for event.  Predictors whose quote depends on the retained
+  window of drained waits alone skip the segment loop entirely: the loop
+  records the prefix length each refit sees, and the predictor's prefix
+  kernel (see :func:`~repro.core.predictor.prefix_kernel`) yields every
+  quote — in one call without a change-point detector, and one window at
+  a time, restarting at each fire, with one.
 * ``"reference"`` — the original per-event loop, kept as the semantic
   oracle (``bmbp verify`` and the engine-identity property tests compare
   against it), as the implementation for ``epoch=0`` (per-event refits have
@@ -59,6 +60,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.changepoint import first_fire_index, trailing_run
 from repro.core.predictor import (
     BoundKind,
     QuantilePredictor,
@@ -300,13 +302,14 @@ def _replay_reference(
 #   3. quote assignment — every job in the segment receives the (constant)
 #      refit quote, recorded into a per-predictor quote array;
 #   4. intra-segment drain — jobs starting inside the segment are fed as a
-#      second batch, after a non-mutating ``would_fire`` precheck; if a
-#      change point would fire mid-segment (which moves the quote), that
-#      predictor alone replays the segment per event.
+#      second batch, scanned for change points first; if one fires
+#      mid-segment (which moves the quote), that predictor's batch is split
+#      at the fire and the rest of the segment requoted.
 #
 # Predictors with a prefix kernel take no part in steps 1–4: the loop only
 # records ``seg_p``, the drained prefix at each boundary refit, and the
-# kernels quote from it after the loop (``_serve_prefix_kernels``).
+# kernels quote from it after the loop, scanning their own change points
+# (``_serve_prefix_kernels``).
 #
 # Scoring is deferred entirely: one vectorized comparison + ratio pass per
 # predictor at the end, reading the quote arrays.  This is legal because
@@ -331,8 +334,8 @@ def _replay_batched(
 ) -> Dict[str, ReplayResult]:
     all_names = list(predictors)
     results = _make_results(trace, predictors)
-    # Detector-free predictors whose quote is a pure function of the
-    # drained prefix are served by their prefix kernels after the loop;
+    # Predictors whose quote is a pure function of the retained window of
+    # drained waits are served by their prefix kernels after the loop;
     # only the rest are driven through it.
     kernels = {}
     for name in all_names:
@@ -548,8 +551,8 @@ def _replay_batched(
                                 drained = order[p:d_end]
                                 w = waits[drained]
                             _feed_scored_with_fires(
-                                preds[k], qa, drained, w, p, t, waits,
-                                order, start_sorted, lo, hi,
+                                preds[k], qa, drained, w, p, t, start,
+                                start_sorted, lo, hi,
                             )
                             continue
                 obs = observes[k]
@@ -573,8 +576,8 @@ def _replay_batched(
                     # and requotes the rest of the segment; no-fire batches
                     # (the common case) cost exactly one hit/miss scan.
                     _feed_scored_with_fires(
-                        predictor, qarrs[k], drained, w, p, t, waits,
-                        order, start_sorted, lo, hi, shared=shared,
+                        predictor, qarrs[k], drained, w, p, t, start,
+                        start_sorted, lo, hi, shared=shared,
                     )
                     continue
                 predicted = qarrs[k][drained]
@@ -592,9 +595,9 @@ def _replay_batched(
 
     if kernels:
         _serve_prefix_kernels(
-            predictors, kernels, quotes, results, waits[order[:p]],
-            np.asarray(seg_p), seg_lo, seg_hi, seg_boundary, p_train, p_refit,
-            n_train, config,
+            predictors, kernels, quotes, results, order[:p], waits, t, start,
+            start_sorted, np.asarray(seg_p), seg_lo, seg_hi, seg_boundary,
+            p_train, p_refit, n_train, config,
         )
 
     # Deferred scoring: one vectorized pass per predictor over the
@@ -640,12 +643,23 @@ def _replay_batched(
     return results
 
 
+#: Drain positions a trimming kernel scans in its first chunk after a
+#: restart, at the least.  Chunks then double while no fire turns up, so
+#: the window prefix each chunk re-quotes stays a bounded fraction of the
+#: work (see ``_kernel_walk``).
+_MIN_CHUNK = 64
+
+
 def _serve_prefix_kernels(
     predictors: Dict[str, QuantilePredictor],
-    kernels: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]],
+    kernels: Dict[str, Callable[..., np.ndarray]],
     quotes: Dict[str, np.ndarray],
     results: Dict[str, ReplayResult],
-    drained: np.ndarray,
+    drain_order: np.ndarray,
+    waits: np.ndarray,
+    t: np.ndarray,
+    start: np.ndarray,
+    start_sorted: np.ndarray,
     seg_p: np.ndarray,
     seg_lo: np.ndarray,
     seg_hi: np.ndarray,
@@ -655,22 +669,28 @@ def _serve_prefix_kernels(
     n_train: int,
     config: ReplayConfig,
 ) -> None:
-    """Quote, record and settle the predictors in ``kernels`` in one pass.
+    """Quote, score, record and settle the predictors in ``kernels``.
 
-    A detector-free predictor refits only at segment boundaries and at
-    ``finish_training``, and each refit's quote is its kernel's value at
-    the prefix drained by then.  So segment ``s`` is quoted (and its series
-    point recorded) at ``seg_p[s]``, except the transition segment's
-    evaluated jobs, which get the ``finish_training`` quote at
-    ``p_train``.  Each predictor then ends in the state the loop would
-    have left: the drained waits as history, the last refit's quote, and
-    the count drained since that refit.
+    Such a predictor refits at segment boundaries, at ``finish_training``
+    and at its own change points, and each refit's quote is its kernel's
+    value for the window retained by then.  Without fires, segment ``s``
+    is quoted (and its series point recorded) at ``seg_p[s]``, except the
+    transition segment's evaluated jobs, which get the ``finish_training``
+    quote at ``p_train``.  A fire at drain position ``g`` trims the window
+    to start at ``max(s, g + 1 - trim_length)`` and refits at ``g + 1``;
+    the jobs submitted after that drain and before their segment's next
+    refit get that quote instead (``_kernel_walk``).  Each predictor then
+    ends in the state the loop would have left: the retained waits as
+    history, the last refit's quote, the count drained since that refit,
+    the trained flag and the detector's threshold, run and fire count.
     """
     n_seg = seg_p.size
     n = int(seg_hi[-1])
+    drained = waits[drain_order]
     # Every refit prefix, ``p_refit`` (the latest) included.
     lengths = np.unique(seg_p if p_train is None else np.append(seg_p, p_train))
     at_seg = np.searchsorted(lengths, seg_p)
+    at_job = np.empty(0, dtype=np.intp)
     if n_train < n:
         job_seg = np.repeat(np.arange(n_seg), seg_hi - seg_lo)[n_train:]
         at_job = at_seg[job_seg]
@@ -685,23 +705,177 @@ def _serve_prefix_kernels(
         if window is None
         else (window[0] <= seg_boundary) & (seg_boundary < window[1])
     )
+    # Each drain's evaluated job (negative: a training job, never quoted).
+    drain_jobs = drain_order - n_train
+    horizons: Optional[np.ndarray] = None
     for name, kernel in kernels.items():
-        values = kernel(drained, lengths)
+        predictor = predictors[name]
+        detector = predictor.detector
+        threshold = None
+        if detector is not None and p_train is not None:
+            # Training jobs carry no quotes, so nothing fires before
+            # ``finish_training``: the threshold it tunes scans every fire.
+            tuned = predictor.tuned_threshold(drained[:p_train])
+            if tuned is not None:
+                detector.retune(tuned)
+            threshold = detector.threshold
+            if horizons is None:
+                horizons = _submit_horizons(t, start, start_sorted, n_train, n)
+        walk = _kernel_walk(
+            kernel, predictor, drained, drain_jobs, lengths, at_job,
+            horizons, threshold, p_train or 0,
+        )
         if n_train < n:
-            quotes[name][n_train:] = values[at_job]
+            quotes[name][n_train:] = walk.job_quotes
         if config.record_series:
-            series = values[at_seg]
+            series = walk.values[at_seg]
             keep = in_window & ~np.isnan(series)
             results[name].series_times.extend(seg_boundary[keep].tolist())
             results[name].series_values.extend(series[keep].tolist())
-        last = float(values[at_last])
-        predictor = predictors[name]
-        predictor.preload_history(drained)
+        if walk.fire + 1 > p_refit:
+            last, last_p = walk.fire_value, walk.fire + 1
+        else:
+            last, last_p = float(walk.values[at_last]), p_refit
+        predictor.preload_history(drained[walk.start:])
         predictor.restore_quote(
-            None if math.isnan(last) else last, drained.size - p_refit
+            None if math.isnan(last) else last, drained.size - last_p
         )
         if p_train is not None:
             predictor.mark_trained()
+        if detector is not None:
+            detector.restore_run(walk.run)
+            detector.count_change_points(walk.fires)
+
+
+@dataclass
+class _KernelWalk:
+    """One kernel-served predictor's replay, as ``_kernel_walk`` leaves it."""
+
+    job_quotes: np.ndarray  # the quote each evaluated job got at submit
+    values: np.ndarray  # the quote at each refit prefix of ``lengths``
+    start: int  # first drain position of the retained window
+    fire: int  # drain position of the latest fire (-1: none)
+    fire_value: float  # the quote that fire refit to
+    run: int  # the detector's miss run after the last drain
+    fires: int
+
+
+def _kernel_walk(
+    kernel: Callable[..., np.ndarray],
+    predictor: QuantilePredictor,
+    drained: np.ndarray,
+    drain_jobs: np.ndarray,
+    lengths: np.ndarray,
+    at_job: np.ndarray,
+    horizons: Optional[np.ndarray],
+    threshold: Optional[int],
+    scan_from: int,
+) -> _KernelWalk:
+    """Quote one prefix-kernel predictor through its change points.
+
+    ``drained`` holds the drained waits in drain order and ``drain_jobs``
+    each drain's evaluated-job index (negative: a training job, never
+    quoted); evaluated job ``i`` refits last at ``lengths[at_job[i]]``
+    before its submit, and ``horizons[i]`` drains precede that submit.
+    Without a detector threshold this is a single kernel call.  Otherwise
+    it works chunk by chunk from the window start ``s``: quote the chunk's
+    refit prefixes with ``kernel(drained[s:], lengths - s)``, score the
+    chunk's drains in drain order against the quote each job got at
+    submit, and find the first fire from the carried miss run.  A fire at
+    drain position ``g`` trims the window to ``max(s, g + 1 - trim)`` and
+    refits at ``g + 1``; the jobs submitted after that drain whose segment
+    refit came before it are requoted with that value, and the scan
+    restarts at ``g + 1``.  A chunk starts at twice the last gap between
+    fires and doubles while none fires, so the window prefix each chunk
+    re-quotes costs at most a constant factor of the drains scanned.
+    """
+    n_jobs = at_job.size
+    n_drained = drained.size
+    values = np.full(lengths.size, np.nan)
+    job_quotes = np.full(n_jobs, np.nan)
+    job_lengths = lengths[at_job]
+    upper = predictor.kind is BoundKind.UPPER
+    run = predictor.detector.current_run if predictor.detector is not None else 0
+    s = window = fires = 0
+    fire, fire_value = -1, math.nan
+    pos, i0, b0, b_run = scan_from, 0, 0, 0
+    size = n_drained if threshold is None else max(_MIN_CHUNK, pos)
+    while True:
+        end = min(n_drained, pos + size)
+        if end >= n_drained:
+            i1, b1 = n_jobs, lengths.size
+        else:
+            i1 = int(np.searchsorted(horizons, end, side="right"))
+            b1 = int(np.searchsorted(lengths, end, side="right"))
+        # Quote the chunk over the window retained since the latest fire:
+        # that fire's own refit and every boundary refit after it, the
+        # earlier ones included, since a kernel's running sums may depend
+        # on how the waits were grouped between refits.
+        refits = lengths[b_run:b1]
+        if fire >= 0 and (refits.size == 0 or refits[0] > fire + 1):
+            refits = np.concatenate(([fire + 1], refits))
+        if refits.size:
+            got = kernel(drained[s:refits[-1]], refits - s, window)
+            if fire >= 0:
+                fire_value = float(got[0])
+            values[b0:b1] = got[got.size - (b1 - b0):]
+        quoted = values[at_job[i0:i1]]
+        if fire >= 0:
+            quoted[job_lengths[i0:i1] <= fire] = fire_value
+        job_quotes[i0:i1] = quoted
+        if threshold is None:
+            break
+        # Score the chunk's drains and look for the next fire.
+        jobs = drain_jobs[pos:end]
+        scored = np.flatnonzero(jobs >= 0)
+        predicted = job_quotes[jobs[scored]]
+        valid = ~np.isnan(predicted)
+        scored = scored[valid]
+        w = drained[pos:end][scored]
+        miss = w > predicted[valid] if upper else w < predicted[valid]
+        k = first_fire_index(miss, run, threshold)
+        if k is None:
+            run = trailing_run(miss, run)
+            if end >= n_drained:
+                break
+            pos, i0, b0 = end, i1, b1
+            size *= 2
+            continue
+        g = pos + int(scored[k])
+        size = max(_MIN_CHUNK, 2 * (g - max(fire, scan_from)))
+        fires += 1
+        fire = g
+        s = max(s, g + 1 - predictor.trim_length)
+        window = g + 1 - s
+        run = 0
+        pos = g + 1
+        i0 = int(np.searchsorted(horizons, g, side="right"))
+        b0 = b_run = int(np.searchsorted(lengths, g, side="right"))
+    return _KernelWalk(job_quotes, values, s, fire, fire_value, run, fires)
+
+
+def _submit_horizons(
+    t: np.ndarray,
+    start: np.ndarray,
+    start_sorted: np.ndarray,
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """Drained count when each job in ``[lo, hi)`` is submitted.
+
+    Jobs start (and drain) in start-sorted order up to the submit instant,
+    except the zero-wait ties the module drain-order note describes: jobs
+    submitted at that same instant at or after the submitting one, which
+    start right then and drain after its quote.  Non-decreasing, so the
+    first job quoted after drain position ``g`` is
+    ``lo + searchsorted(horizons, g, side="right")``.
+    """
+    t_jobs = t[lo:hi]
+    horizons = np.searchsorted(start_sorted, t_jobs, side="right")
+    tie_end = np.searchsorted(t, t_jobs, side="right")
+    top = int(tie_end[-1])
+    ties = np.concatenate(([0], np.cumsum(start[lo:top] == t[lo:top])))
+    return horizons - (ties[tie_end - lo] - ties[: hi - lo])
 
 
 def _feed_scored_with_fires(
@@ -711,12 +885,10 @@ def _feed_scored_with_fires(
     w: np.ndarray,
     p0: int,
     t: np.ndarray,
-    waits: np.ndarray,
-    order: np.ndarray,
+    start: np.ndarray,
     start_sorted: np.ndarray,
     lo: int,
     hi: int,
-    h_vec: Optional[np.ndarray] = None,
     shared: Optional[EpochBatch] = None,
 ) -> None:
     """Feed one predictor's segment drains exactly, splitting at fires.
@@ -728,19 +900,15 @@ def _feed_scored_with_fires(
     firing drain (:meth:`~QuantilePredictor.feed_scored` trims and refits
     at the identical observation), finds the first segment job whose quote
     was *not* yet final when that drain was fed (``i*``: the first job
-    whose drain horizon lies past the fire), restamps ``[i*, hi)`` with
-    the post-fire quote, and rescans the remaining drains against the
-    updated quote array.  Each loop iteration consumes one fire; the batch
-    hit/miss sequence is scanned exactly once per iteration.
-
-    ``h_vec`` holds the segment jobs' unadjusted drain horizons
-    (``searchsorted(start_sorted, t[lo:hi], "right")``), computed lazily at
-    the first fire; the zero-wait-tie suffix adjustment (see the module
-    drain-order note) is applied lazily too, only at the exact-tie
-    boundaries where it can be nonzero.
+    whose drain horizon lies past the fire, see ``_submit_horizons``),
+    restamps ``[i*, hi)`` with the post-fire quote, and rescans the
+    remaining drains against the updated quote array.  Each loop iteration
+    consumes one fire; the batch hit/miss sequence is scanned exactly once
+    per iteration.  The segment's horizons are computed at the first fire.
     """
     upper = predictor.kind is BoundKind.UPPER
     n_d = int(drains.size)
+    horizons: Optional[np.ndarray] = None
     pos = 0
     while pos < n_d:
         tail = drains[pos:]
@@ -757,16 +925,9 @@ def _feed_scored_with_fires(
         if g is None:
             return
         fire_at = p0 + pos + g  # absolute position of the firing drain
-        if h_vec is None:
-            h_vec = np.searchsorted(start_sorted, t[lo:hi], side="right")
-        i_star = lo + int(np.searchsorted(h_vec, fire_at, side="right"))
-        while i_star < hi:
-            h_i = int(h_vec[i_star - lo])
-            if h_i > fire_at and start_sorted[h_i - 1] == t[i_star]:
-                h_i -= int(np.count_nonzero(order[p0:h_i] >= i_star))
-            if h_i > fire_at:
-                break
-            i_star += 1
+        if horizons is None:
+            horizons = _submit_horizons(t, start, start_sorted, lo, hi)
+        i_star = lo + int(np.searchsorted(horizons, fire_at, side="right"))
         if i_star < hi:
             value = predictor.predict()
             qarr[i_star:hi] = np.nan if value is None else value

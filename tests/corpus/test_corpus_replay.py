@@ -70,6 +70,12 @@ class TestBench:
             "repro.corpus.replay._BENCH_SITES_SMOKE",
             (("syn-tiny", 6000, 20260808),),
         )
+        # The parallel-speedup floor is a wall-clock ratio: on a 6 000-job
+        # site the pool's fixed cost rivals the serial replay, so the ratio
+        # hangs on the host's load, not on the code.  The floor stays in
+        # ``run_corpus_bench`` and in the CI bench-corpus job (pinned at
+        # 1.2x there); this test checks the artifact's deterministic content.
+        monkeypatch.setattr("repro.corpus.replay.MIN_PARALLEL_SPEEDUP", 0.0)
         artifact = tmp_path / "BENCH_corpus.json"
         report = run_corpus_bench(
             smoke=True, workdir=tmp_path / "work", artifact=artifact

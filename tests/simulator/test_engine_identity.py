@@ -13,12 +13,16 @@ small-batch scalar path, and engine selection plumbing.
 
 from __future__ import annotations
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import (
+    BootstrapQuantilePredictor,
     DowneyLogUniformPredictor,
     MaxObservedPredictor,
     MeanWaitPredictor,
@@ -35,10 +39,11 @@ from repro.stats.order_stats import prefix_order_statistics
 def _bank():
     """Predictors covering every kernel path: order-statistic and running-sum
     refits, trimming (short lengths so random traces actually fire),
-    sliding windows, non-batch-aware overrides, a lower bound, and the
-    detector-free methods the batched engine serves by prefix kernel."""
+    sliding windows, a lower bound, and the methods the batched engine
+    serves by prefix kernel, with and without a detector."""
     return {
         "bmbp-trim": BMBPPredictor(trim=True, trim_length=4),
+        "bmbp-notrim": BMBPPredictor(trim=False),
         "bmbp-window": BMBPPredictor(trim=False, max_history=16),
         "logn-trim": LogNormalPredictor(trim=True, trim_length=4),
         "logn-lower": LogNormalPredictor(
@@ -56,11 +61,10 @@ def _bank():
     }
 
 
-#: ``_bank()`` entries the batched engine must serve by prefix kernel: the
-#: detector-free exact ones (``point`` and ``mean-wait`` trim by default).
-_KERNEL_SERVED = {
-    "logn-notrim", "downey", "point-notrim", "max-observed", "mean-wait-notrim",
-}
+#: ``_bank()`` entries the batched engine must serve by prefix kernel:
+#: every exact one, trimming or not, except the sliding windows and
+#: weibull (whose streamed fit has no kernel).
+_KERNEL_SERVED = set(_bank()) - {"bmbp-window", "point-window", "weibull"}
 
 
 def _make_trace(gaps, waits):
@@ -82,20 +86,39 @@ def _kernel_bank():
     return {name: pr for name, pr in _bank().items() if name in _KERNEL_SERVED}
 
 
-def _assert_identical(trace, config, make_bank=_bank):
+def _paper_bank():
+    """The headline bank's four trimming methods, at their defaults (the
+    binomial trim length, 59 for .95/.95) — all kernel-served."""
+    return {
+        "bmbp": BMBPPredictor(),
+        "logn-trim": LogNormalPredictor(trim=True),
+        "mean-wait": MeanWaitPredictor(),
+        "point-quantile": PointQuantilePredictor(),
+    }
+
+
+_replay_module = importlib.import_module("repro.simulator.replay")
+
+
+def _assert_identical(trace, config, make_bank=_bank, served=_KERNEL_SERVED):
     banks = {"batched": make_bank(), "reference": make_bank()}
-    served = {name for name, pr in banks["batched"].items() if prefix_kernel(pr)}
-    assert served == _KERNEL_SERVED
+    kernels = {name for name, pr in banks["batched"].items() if prefix_kernel(pr)}
+    assert kernels == served & set(banks["batched"])
     batched = replay(trace, banks["batched"], config, engine="batched")
     reference = replay(trace, banks["reference"], config, engine="reference")
     assert set(batched) == set(reference)
     for name in batched:
-        rtol = _BANDED.get(name, 1e-9)
+        # A prefix kernel repeats the per-item feed's arithmetic, so its
+        # quotes, and the ratios scored against them, are bit-identical.
+        rtol = 0.0 if name in kernels else _BANDED.get(name, 1e-9)
         # Both engines leave every predictor in the same state.
         pa, pb = banks["batched"][name], banks["reference"][name]
         assert len(pa.history) == len(pb.history), name
         assert pa.observations_since_refit == pb.observations_since_refit, name
         assert pa.trained == pb.trained, name
+        assert pa.miss_threshold == pb.miss_threshold, name
+        if pb.detector is not None:
+            assert pa.detector.current_run == pb.detector.current_run, name
         qa, qb = pa.predict(), pb.predict()
         assert (qa is None) == (qb is None), name
         if qb is not None:
@@ -172,21 +195,55 @@ class TestPrefixKernels:
             got = prefix_kernel(_bank()[name])(waits, lengths)
             assert np.array_equal(got, want, equal_nan=True), name
 
+    @pytest.mark.parametrize("window", [1, 2, 3, 59])
+    def test_kernels_restart_from_a_trimmed_window(self, window):
+        # After a fire the window is rebuilt in one pass
+        # (``_on_history_trimmed``, the same rebuild ``preload_history``
+        # does) and later waits are fed one at a time: a kernel told the
+        # window size must reproduce those running sums exactly.
+        rng = np.random.default_rng(12)
+        waits = rng.lognormal(3.0, 1.5, 200)
+        waits[::7] = 0.0
+        # 1 + 2^-53 + 2^-53 + ... is 1 added left to right but not
+        # pairwise: the window's sum must be rebuilt the trim's way.
+        waits[0] = 1.0
+        waits[1:59] = 2.0 ** -53
+        lengths = np.arange(window, 201, 3)
+        for name in sorted(_KERNEL_SERVED):
+            probe = _bank()[name]
+            probe.preload_history(waits[:window])
+            want, fed = [], window
+            for m in lengths:
+                for wait in waits[fed:m].tolist():
+                    probe.observe(wait)
+                fed = m
+                value = probe._compute_bound()
+                want.append(np.nan if value is None else value)
+            got = prefix_kernel(_bank()[name])(waits, lengths, window)
+            assert np.array_equal(got, want, equal_nan=True), name
+
     def test_eligibility_is_a_class_capability(self):
         class Overridden(MeanWaitPredictor):
             def _compute_bound(self):
                 return 1.0
 
         assert prefix_kernel(MeanWaitPredictor(trim=False)) is not None
-        assert prefix_kernel(MeanWaitPredictor()) is None  # trims by default
+        # A change-point detector no longer excludes a predictor.
+        assert prefix_kernel(MeanWaitPredictor()) is not None
+        assert prefix_kernel(MaxObservedPredictor(trim=True)) is not None
+        assert prefix_kernel(BMBPPredictor()) is not None
         assert prefix_kernel(Overridden(trim=False)) is None
         assert prefix_kernel(
             MeanWaitPredictor(trim=False, refit_mode="recompute")
         ) is None
-        assert prefix_kernel(MaxObservedPredictor(trim=True)) is None
         assert prefix_kernel(
             PointQuantilePredictor(trim=False, refit_mode="p2")
         ) is None
+        assert prefix_kernel(BMBPPredictor(max_history=16)) is None
+        # No kernel: a path-dependent streamed fit, and a seeded draw per
+        # refit whose stream no vectorized call reproduces.
+        assert prefix_kernel(WeibullPredictor()) is None
+        assert prefix_kernel(BootstrapQuantilePredictor()) is None
         used = MeanWaitPredictor(trim=False)
         used.observe(3.0)
         assert prefix_kernel(used) is None
@@ -205,6 +262,20 @@ class TestEngineIdentityProperty:
             epoch=epoch, training_fraction=training, record_series=True
         )
         _assert_identical(trace, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        jobs=JOBS,
+        training=st.sampled_from([0.0, 0.1]),
+        min_chunk=st.integers(min_value=1, max_value=4),
+    )
+    def test_random_traces_in_tiny_chunks(self, jobs, training, min_chunk):
+        # Chunk edges everywhere: the trimming kernels' fire scan must not
+        # depend on where its chunks happen to end.
+        trace = _make_trace([g for g, _ in jobs], [w for _, w in jobs])
+        config = ReplayConfig(training_fraction=training, record_series=True)
+        with mock.patch.object(_replay_module, "_MIN_CHUNK", min_chunk):
+            _assert_identical(trace, config)
 
     @settings(max_examples=30, deadline=None)
     @given(jobs=JOBS, training=st.sampled_from([0.0, 0.3]))
@@ -376,6 +447,12 @@ class TestEngineIdentityDeterministic:
         )["p"]
         assert result.change_points > 0  # the split path actually ran
         _assert_identical(trace, config)
+        # The headline trimming methods, at the default trim length, fire
+        # mid-segment here too; the kernel driver must requote the same
+        # jobs the loop's fire split did.
+        reference = replay(trace, _paper_bank(), config, engine="reference")
+        assert all(r.change_points > 0 for r in reference.values())
+        _assert_identical(trace, config, _paper_bank, set(_paper_bank()))
 
     def test_all_zero_waits_with_tied_submits(self):
         # Every job starts the instant it is submitted, at timestamps that
@@ -404,6 +481,105 @@ class TestEngineIdentityDeterministic:
         waits = rng.lognormal(3.0, 1.0, 40)
         trace = _make_trace(np.full(40, 310.0), waits)
         _assert_identical(trace, ReplayConfig(record_series=True))
+
+
+def _ramp_trace():
+    """A calm training prefix, then waits that keep growing: every scored
+    drain misses every method's bound, so each fires once per threshold
+    misses — far closer together than the 59-wait trim length."""
+    rng = np.random.default_rng(21)
+    calm = rng.lognormal(3.0, 0.4, 60)
+    ramp = 200.0 * 1.02 ** np.arange(240)
+    waits = np.concatenate([calm, ramp])
+    return _make_trace(np.full(waits.size, 310.0), waits)
+
+
+class TestChangePointKernels:
+    """The trimming kernels' fire scan (``_kernel_walk``) on traces built
+    to fire where the driver has special cases."""
+
+    def test_fires_straddling_chunk_edges(self):
+        # Tiny first chunks put chunk edges inside miss runs: a run carried
+        # across an edge must fire where the per-event detector does.
+        calls = []
+        real = _replay_module.first_fire_index
+
+        def spy(miss, carry, threshold):
+            fired = real(miss, carry, threshold)
+            calls.append((carry, fired))
+            return fired
+
+        trace = _ramp_trace()
+        for min_chunk in range(1, 9):
+            config = ReplayConfig(training_fraction=0.0, record_series=True)
+            with mock.patch.object(_replay_module, "_MIN_CHUNK", min_chunk), \
+                    mock.patch.object(_replay_module, "first_fire_index", spy):
+                _assert_identical(trace, config, _paper_bank, set(_paper_bank()))
+        # Some fire completed a run begun in the previous chunk.
+        assert any(carry > 0 and fired is not None for carry, fired in calls)
+
+    def test_back_to_back_fires_closer_than_trim_length(self):
+        trace = _ramp_trace()
+        config = ReplayConfig(record_series=True)
+        reference = replay(trace, _paper_bank(), config, engine="reference")
+        for name in ("bmbp", "mean-wait", "point-quantile"):
+            # Six or more fires among the 240 ramp drains: by pigeonhole
+            # two of them are fewer than 59 drains apart.
+            assert reference[name].change_points >= 6, name
+        _assert_identical(trace, config, _paper_bank, set(_paper_bank()))
+
+    def test_fire_inside_transition_segment(self):
+        # One 10^6 s segment holds the whole trace, so the training cutoff,
+        # the finish_training quote and the misses that follow all fall
+        # in the transition segment.
+        rng = np.random.default_rng(6)
+        waits = np.concatenate([rng.lognormal(1.0, 0.3, 150), np.full(150, 40.0)])
+        trace = _make_trace(np.ones(300), waits)
+        config = ReplayConfig(epoch=1e6, training_fraction=0.5, record_series=True)
+        reference = replay(trace, _paper_bank(), config, engine="reference")
+        assert all(r.change_points > 0 for r in reference.values())
+        _assert_identical(trace, config, _paper_bank, set(_paper_bank()))
+        _assert_identical(trace, config)
+
+    def test_fire_inside_boundary_drain(self):
+        # Every third epoch submits ten jobs at once whose long waits end
+        # after the segment's last submit but before the next boundary, so
+        # their misses drain (and fire) in that boundary's drain.
+        rng = np.random.default_rng(7)
+        gaps, waits = [], []
+        for epoch in range(120):
+            if epoch % 3 == 2 and epoch > 30:
+                gaps += [300.0] + [0.5] * 9
+                waits += (250.0 + rng.uniform(0.0, 10.0, 10)).tolist()
+            else:
+                gaps.append(300.0)
+                waits.append(float(rng.lognormal(2.0, 0.3)))
+        trace = _make_trace(gaps, waits)
+        config = ReplayConfig(record_series=True)
+        reference = replay(trace, _paper_bank(), config, engine="reference")
+        assert all(r.change_points > 0 for r in reference.values())
+        _assert_identical(trace, config, _paper_bank, set(_paper_bank()))
+        _assert_identical(trace, config)
+
+    @pytest.mark.parametrize("case", [
+        "empty", "short", "all-equal", "all-zero", "outlier",
+    ])
+    def test_degenerate_inputs(self, case):
+        rng = np.random.default_rng(9)
+        waits = {
+            "empty": np.empty(0),
+            "short": rng.lognormal(3.0, 1.0, 40),  # fewer than 59 waits
+            # 0.1 is not a dyadic fraction: any change in the order of the
+            # mean's additions would move it by an ulp and flip a score.
+            "all-equal": np.full(400, 0.1),
+            "all-zero": np.zeros(400),
+            "outlier": np.where(np.arange(400) == 200, 1e12,
+                                rng.lognormal(3.0, 1.0, 400)),
+        }[case]
+        trace = _make_trace(np.full(waits.size, 100.0), waits)
+        for config in (ReplayConfig(record_series=True),
+                       ReplayConfig(epoch=50.0, training_fraction=0.3)):
+            _assert_identical(trace, config, _paper_bank, set(_paper_bank()))
 
 
 class TestEngineSelection:
