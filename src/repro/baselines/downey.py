@@ -22,6 +22,7 @@ from repro.core.predictor import (
     register_batch_aware_observe,
 )
 from repro.stats.distributions import DEFAULT_LOG_SHIFT, LogUniformDistribution
+from repro.stats.order_stats import RangeSelect
 
 __all__ = ["DowneyLogUniformPredictor"]
 
@@ -114,7 +115,8 @@ class DowneyLogUniformPredictor(QuantilePredictor):
         return max(0.0, fitted.quantile(self.quantile))
 
     def _prefix_bounds(
-        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0
+        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
+        select: Optional[RangeSelect] = None, ordinal: int = 0,
     ) -> np.ndarray:
         """The quote at each prefix length (see ``prefix_kernel``).
 

@@ -28,7 +28,7 @@ from repro.core.predictor import (
     QuantilePredictor,
     register_batch_aware_observe,
 )
-from repro.stats.order_stats import prefix_order_statistics
+from repro.stats.order_stats import RangeSelect
 
 __all__ = ["MaxObservedPredictor", "MeanWaitPredictor", "PointQuantilePredictor"]
 
@@ -83,7 +83,8 @@ class MaxObservedPredictor(QuantilePredictor):
         return self._extreme
 
     def _prefix_bounds(
-        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0
+        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
+        select: Optional[RangeSelect] = None, ordinal: int = 0,
     ) -> np.ndarray:
         """Running extreme at each prefix length (see ``prefix_kernel``)."""
         running = (
@@ -142,15 +143,17 @@ class PointQuantilePredictor(QuantilePredictor):
         return self.history.rank_value(self._rank_key)
 
     def _prefix_bounds(
-        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0
+        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
+        select: Optional[RangeSelect] = None, ordinal: int = 0,
     ) -> np.ndarray:
         """Exact prefix order statistics at ``_point_rank`` (see
         ``prefix_kernel``)."""
         out = np.full(lengths.size, np.nan)
         quoted = lengths > 0
-        m = lengths[quoted].tolist()
-        out[quoted] = prefix_order_statistics(
-            waits, m, [self._point_rank(n) for n in m]
+        m = lengths[quoted]
+        select = select or RangeSelect(waits)
+        out[quoted] = select(
+            np.zeros_like(m), m, [self._point_rank(n) - 1 for n in m.tolist()]
         )
         return out
 
@@ -195,7 +198,8 @@ class MeanWaitPredictor(QuantilePredictor):
         return self._sum / self._n
 
     def _prefix_bounds(
-        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0
+        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
+        select: Optional[RangeSelect] = None, ordinal: int = 0,
     ) -> np.ndarray:
         """Running mean at each prefix length (see ``prefix_kernel``).
 

@@ -21,7 +21,7 @@ from repro.core.predictor import (
     QuantilePredictor,
 )
 from repro.core.quantile import bound_rank
-from repro.stats.order_stats import prefix_order_statistics
+from repro.stats.order_stats import RangeSelect
 
 __all__ = ["BMBPPredictor"]
 
@@ -164,7 +164,8 @@ class BMBPPredictor(QuantilePredictor):
         return self.history.rank_value(self._rank_key)
 
     def _prefix_bounds(
-        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0
+        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
+        select: Optional[RangeSelect] = None, ordinal: int = 0,
     ) -> np.ndarray:
         """Exact prefix order statistics at ``_bound_rank`` (see
         ``prefix_kernel``); ``NaN`` where the window is too small for a
@@ -176,7 +177,8 @@ class BMBPPredictor(QuantilePredictor):
             if rank is not None:
                 quoted.append(i)
                 m.append(n)
-                ranks.append(rank)
+                ranks.append(rank - 1)
         if quoted:
-            out[quoted] = prefix_order_statistics(waits, m, ranks)
+            select = select or RangeSelect(waits)
+            out[quoted] = select(np.zeros(len(m), dtype=np.intp), m, ranks)
         return out

@@ -38,6 +38,7 @@ from repro.core.predictor import (
     register_batch_aware_observe,
 )
 from repro.stats.distributions import DEFAULT_LOG_SHIFT
+from repro.stats.order_stats import RangeSelect
 from repro.stats.tolerance import (
     normal_quantile_lower_factor,
     normal_quantile_upper_factor,
@@ -228,7 +229,8 @@ class LogNormalPredictor(QuantilePredictor):
         return _lower_factor(_factor_bucket(n), self.quantile, self.confidence)
 
     def _prefix_bounds(
-        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0
+        self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
+        select: Optional[RangeSelect] = None, ordinal: int = 0,
     ) -> np.ndarray:
         """The quote at each prefix length (see ``prefix_kernel``).
 

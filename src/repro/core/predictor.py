@@ -110,16 +110,24 @@ def prefix_kernel(
     call.  A change-point trim only moves where the window starts: between
     two fires each quote is a function of the retained waits
     ``waits[s:n]``, so the same call serves a trimming predictor one fire
-    at a time.  A class offers that call as
-    ``_prefix_bounds(waits, lengths, window=0)``: ``waits`` is the drained
-    sequence in drain order, ``lengths`` the strictly increasing prefix
-    lengths at which it refits, and the result holds the bound
-    ``_compute_bound`` returns at each of those refits when fed ``waits``
-    one ``observe`` at a time (``NaN`` where it returns ``None``).  With
-    ``window = w > 0`` the first ``w`` waits are instead the window a trim
-    left behind, rebuilt by ``_on_history_trimmed`` (every length is then
-    at least ``w``); kernels whose running sums depend on how the window
-    was assembled reproduce that rebuild, the others ignore it.
+    at a time.  A class offers that call as ``_prefix_bounds(waits,
+    lengths, window=0, select=None, ordinal=0)``: ``waits`` is the drained
+    sequence in drain order, ``lengths`` the non-decreasing prefix lengths
+    at which it refits, and the result holds the bound ``_compute_bound``
+    returns at each of those refits when fed ``waits`` one ``observe`` at
+    a time (``NaN`` where it returns ``None``).  A repeated length is a
+    second refit at the same prefix (``finish_training`` right after a
+    boundary refit).  With ``window = w > 0`` the first ``w`` waits are
+    instead the window a trim left behind, rebuilt by
+    ``_on_history_trimmed`` (every length is then at least ``w``); kernels
+    whose running sums depend on how the window was assembled reproduce
+    that rebuild, the others ignore it.  ``select``, when given, is a
+    :class:`~repro.stats.order_stats.RangeSelect` over ``waits`` that the
+    order-statistic kernels read instead of building their own.
+    ``ordinal`` counts the predictor's earlier refits that quoted a bound:
+    a kernel whose refits draw from a random stream indexes its draws by
+    it, and :meth:`QuantilePredictor.settle_prefix_refits` then leaves the
+    stream where the replay's refits would.
 
     Returns the bound kernel, or ``None`` when the predictor must be
     replayed event by event: it has a window or a non-incremental refit
@@ -469,6 +477,15 @@ class QuantilePredictor(ABC):
         """
         self._current = current
         self._observations_since_refit = max(0, int(since_refit))
+
+    def settle_prefix_refits(self, quoted: int) -> None:
+        """Leave per-refit state where ``quoted`` quoting refits leave it.
+
+        A replay that served this predictor from its prefix kernel calls
+        this once, with the number of refits on its path that quoted a
+        bound.  Only a predictor whose refits consume state beyond the
+        history (the bootstrap's random stream) has anything to settle.
+        """
 
     @property
     def observations_since_refit(self) -> int:

@@ -69,6 +69,7 @@ from repro.core.predictor import (
 )
 from repro.core.refit import EpochBatch
 from repro.simulator.results import JobRecord, ReplayResult
+from repro.stats.order_stats import RangeSelect
 from repro.workloads.trace import Trace
 
 __all__ = ["ENGINES", "ReplayConfig", "replay", "replay_by_queue", "replay_single"]
@@ -620,7 +621,10 @@ def _replay_batched(
                 correct = ws >= qs
             ratio = np.empty(ws.size, dtype=float)
             positive = qs > 0.0
-            np.divide(ws, qs, out=ratio, where=positive)
+            # A subnormal quote overflows to inf, as ``_score``'s division
+            # does; that is the ratio, not an error.
+            with np.errstate(over="ignore"):
+                np.divide(ws, qs, out=ratio, where=positive)
             if not positive.all():
                 zero = ~positive
                 ratio[zero] = np.where(ws[zero] == 0.0, 1.0, np.inf)
@@ -687,18 +691,26 @@ def _serve_prefix_kernels(
     n_seg = seg_p.size
     n = int(seg_hi[-1])
     drained = waits[drain_order]
-    # Every refit prefix, ``p_refit`` (the latest) included.
+    # Every refit prefix in refit order, ``p_refit`` (the latest) included.
+    # ``finish_training`` refits even when the transition segment's
+    # boundary refit saw the same prefix; that prefix then appears twice,
+    # and the segments up to the transition read the first refit.
     lengths = np.unique(seg_p if p_train is None else np.append(seg_p, p_train))
     at_seg = np.searchsorted(lengths, seg_p)
     at_job = np.empty(0, dtype=np.intp)
     if n_train < n:
+        trans = int(np.searchsorted(seg_hi, n_train, side="right"))
+        if seg_p[trans] == p_train:
+            lengths = np.insert(lengths, at_seg[trans], p_train)
+            at_seg = np.searchsorted(lengths, seg_p)
+            at_seg[trans + 1:] += seg_p[trans + 1:] == p_train
         job_seg = np.repeat(np.arange(n_seg), seg_hi - seg_lo)[n_train:]
         at_job = at_seg[job_seg]
         # The transition segment's evaluated jobs: quoted after training.
-        at_job[: int(seg_hi[job_seg[0]]) - n_train] = np.searchsorted(
-            lengths, p_train
+        at_job[: int(seg_hi[trans]) - n_train] = (
+            np.searchsorted(lengths, p_train, side="right") - 1
         )
-    at_last = int(np.searchsorted(lengths, p_refit))
+    at_last = int(np.searchsorted(lengths, p_refit, side="right")) - 1
     window = config.series_window
     in_window = (
         np.ones(n_seg, dtype=bool)
@@ -707,6 +719,8 @@ def _serve_prefix_kernels(
     )
     # Each drain's evaluated job (negative: a training job, never quoted).
     drain_jobs = drain_order - n_train
+    # One order-statistic index over the drained waits serves every kernel.
+    select = RangeSelect(drained)
     horizons: Optional[np.ndarray] = None
     for name, kernel in kernels.items():
         predictor = predictors[name]
@@ -722,7 +736,7 @@ def _serve_prefix_kernels(
             if horizons is None:
                 horizons = _submit_horizons(t, start, start_sorted, n_train, n)
         walk = _kernel_walk(
-            kernel, predictor, drained, drain_jobs, lengths, at_job,
+            kernel, predictor, drained, select, drain_jobs, lengths, at_job,
             horizons, threshold, p_train or 0,
         )
         if n_train < n:
@@ -740,6 +754,7 @@ def _serve_prefix_kernels(
         predictor.restore_quote(
             None if math.isnan(last) else last, drained.size - last_p
         )
+        predictor.settle_prefix_refits(walk.quoted)
         if p_train is not None:
             predictor.mark_trained()
         if detector is not None:
@@ -758,12 +773,14 @@ class _KernelWalk:
     fire_value: float  # the quote that fire refit to
     run: int  # the detector's miss run after the last drain
     fires: int
+    quoted: int  # refits that quoted a bound
 
 
 def _kernel_walk(
     kernel: Callable[..., np.ndarray],
     predictor: QuantilePredictor,
     drained: np.ndarray,
+    select: RangeSelect,
     drain_jobs: np.ndarray,
     lengths: np.ndarray,
     at_job: np.ndarray,
@@ -779,7 +796,7 @@ def _kernel_walk(
     before its submit, and ``horizons[i]`` drains precede that submit.
     Without a detector threshold this is a single kernel call.  Otherwise
     it works chunk by chunk from the window start ``s``: quote the chunk's
-    refit prefixes with ``kernel(drained[s:], lengths - s)``, score the
+    refit prefixes with ``kernel(drained[s:], lengths - s, ...)``, score the
     chunk's drains in drain order against the quote each job got at
     submit, and find the first fire from the carried miss run.  A fire at
     drain position ``g`` trims the window to ``max(s, g + 1 - trim)`` and
@@ -788,6 +805,11 @@ def _kernel_walk(
     restarts at ``g + 1``.  A chunk starts at twice the last gap between
     fires and doubles while none fires, so the window prefix each chunk
     re-quotes costs at most a constant factor of the drains scanned.
+
+    Each kernel call is also told how many refits before its first one
+    quoted a bound (its ``ordinal``): the refits on the final path, the
+    fires' own included.  A chunk's lookahead past the next fire may quote
+    refits that path never makes; they are requoted after the fire.
     """
     n_jobs = at_job.size
     n_drained = drained.size
@@ -796,8 +818,11 @@ def _kernel_walk(
     job_lengths = lengths[at_job]
     upper = predictor.kind is BoundKind.UPPER
     run = predictor.detector.current_run if predictor.detector is not None else 0
-    s = window = fires = 0
-    fire, fire_value = -1, math.nan
+    # ``before``: refits that quoted before the latest fire's own refit,
+    # which is a refit of its own (``lead``) unless a boundary refit at
+    # the same prefix found nothing new to refit.
+    s = window = fires = before = 0
+    fire, fire_value, lead = -1, math.nan, False
     pos, i0, b0, b_run = scan_from, 0, 0, 0
     size = n_drained if threshold is None else max(_MIN_CHUNK, pos)
     while True:
@@ -812,17 +837,19 @@ def _kernel_walk(
         # earlier ones included, since a kernel's running sums may depend
         # on how the waits were grouped between refits.
         refits = lengths[b_run:b1]
-        if fire >= 0 and (refits.size == 0 or refits[0] > fire + 1):
+        if fire >= 0 and lead:
             refits = np.concatenate(([fire + 1], refits))
         if refits.size:
-            got = kernel(drained[s:refits[-1]], refits - s, window)
+            got = kernel(
+                drained[s:refits[-1]], refits - s, window, select.at(s), before
+            )
             if fire >= 0:
                 fire_value = float(got[0])
             values[b0:b1] = got[got.size - (b1 - b0):]
-        quoted = values[at_job[i0:i1]]
+        quotes = values[at_job[i0:i1]]
         if fire >= 0:
-            quoted[job_lengths[i0:i1] <= fire] = fire_value
-        job_quotes[i0:i1] = quoted
+            quotes[job_lengths[i0:i1] <= fire] = fire_value
+        job_quotes[i0:i1] = quotes
         if threshold is None:
             break
         # Score the chunk's drains and look for the next fire.
@@ -842,6 +869,8 @@ def _kernel_walk(
             size *= 2
             continue
         g = pos + int(scored[k])
+        b_fire = int(np.searchsorted(lengths, g, side="right"))
+        before += _count_quotes(lead, fire_value, values[b_run:b_fire])
         size = max(_MIN_CHUNK, 2 * (g - max(fire, scan_from)))
         fires += 1
         fire = g
@@ -850,8 +879,19 @@ def _kernel_walk(
         run = 0
         pos = g + 1
         i0 = int(np.searchsorted(horizons, g, side="right"))
-        b0 = b_run = int(np.searchsorted(lengths, g, side="right"))
-    return _KernelWalk(job_quotes, values, s, fire, fire_value, run, fires)
+        b0 = b_run = b_fire
+        lead = b_run == lengths.size or lengths[b_run] > g + 1
+    quoted = before + _count_quotes(lead, fire_value, values[b_run:])
+    return _KernelWalk(
+        job_quotes, values, s, fire, fire_value, run, fires, quoted
+    )
+
+
+def _count_quotes(lead: bool, fire_value: float, values: np.ndarray) -> int:
+    """Refits of a run that quoted: its fire's own, when it is a refit
+    of its own (``lead``), and those at ``values``."""
+    own = lead and not math.isnan(fire_value)
+    return int(own) + int(np.count_nonzero(~np.isnan(values)))
 
 
 def _submit_horizons(

@@ -8,15 +8,15 @@ match the statistical convention (and the paper's notation ``x_(k)``).
 
 from __future__ import annotations
 
-import heapq
+import copy
 import math
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
+    "RangeSelect",
     "order_statistic",
-    "prefix_order_statistics",
     "quantile_index",
     "rank_of_value",
 ]
@@ -67,37 +67,62 @@ def rank_of_value(sorted_values: Sequence[float], value: float) -> int:
     return int(np.searchsorted(sorted_values, value, side="right"))
 
 
-def prefix_order_statistics(
-    values: Sequence[float], lengths: Sequence[int], ranks: Sequence[int]
-) -> np.ndarray:
-    """``sorted(values[:m])[k - 1]`` for every ``(m, k)`` pair, in one pass.
+class RangeSelect:
+    """``sorted(values[lo:hi])[k]`` for whole arrays of ``(lo, hi, k)``.
 
-    ``lengths`` must be non-decreasing and each rank ``k`` within
-    ``[1, m]``.  The growing prefix is split between two heaps: a max-heap
-    of its ``k`` smallest values (whose top is the answer) and a min-heap
-    of the rest.  Each new value enters one heap, and each query moves
-    values across the split until the low heap holds exactly ``k``; when
-    consecutive ranks differ by at most the values added between them (a
-    quantile rank, for one) that is O(log m) per value.  The answers are
-    the stored floats themselves, so they equal the sorted-prefix reads
-    bit for bit.
+    A wavelet matrix over the values' ranks.  Each value is replaced by
+    its position in a stable sort, so the codes are distinct and a range's
+    k-th smallest code is its k-th smallest value.  The codes' bits are
+    stored level by level, most significant first: each level stably
+    partitions the codes by its bit (zeros first) and keeps
+    ``zeros[i]``, the number of zero bits among the first ``i`` codes.
+    A query descends one level per bit.  Of its range's codes, those with
+    a zero bit sit at ``[zeros[lo], zeros[hi])`` on the next level and
+    the rest at the same ranks past all the zeros, and the k-th smallest
+    lies among the zeros iff ``k`` is below their count.  So
+    ``ceil(log2 N)`` vectorized steps answer every query at once.  The
+    answer is a stored float, equal to the sorted read bit for bit.  The
+    index takes ``4 (N + 1) ceil(log2 N)`` bytes.  ``at(start)`` views the
+    same index as one over ``values[start:]``.
     """
-    low: list = []  # negated: a max-heap of the k smallest
-    high: list = []  # min-heap of the rest
-    push, pop = heapq.heappush, heapq.heappop
-    out = np.empty(len(lengths))
-    items = np.asarray(values, dtype=float).tolist()
-    fed = 0
-    for i, (m, k) in enumerate(zip(lengths, ranks)):
-        for x in items[fed:m]:
-            if low and x < -low[0]:
-                push(low, -x)
-            else:
-                push(high, x)
-        fed = m
-        while len(low) < k:
-            push(low, -pop(high))
-        while len(low) > k:
-            push(high, -pop(low))
-        out[i] = -low[0]
-    return out
+
+    _offset = 0
+
+    def __init__(self, values: Sequence[float]):
+        values = np.asarray(values, dtype=float)
+        n = values.size
+        order = np.argsort(values, kind="stable")
+        self._sorted = values[order]
+        codes = np.empty(n, dtype=np.int32)
+        codes[order] = np.arange(n, dtype=np.int32)
+        depth = max(1, (n - 1).bit_length())
+        self._zeros = np.zeros((depth, n + 1), dtype=np.int32)
+        for level in range(depth):
+            zero = (codes >> (depth - 1 - level)) & 1 == 0
+            np.cumsum(zero, out=self._zeros[level, 1:])
+            codes = np.concatenate((codes[zero], codes[~zero]))
+
+    def at(self, start: int) -> "RangeSelect":
+        """This index, with every position counted from ``start``."""
+        view = copy.copy(self)
+        view._offset = self._offset + start
+        return view
+
+    def __call__(self, lo, hi, k) -> np.ndarray:
+        """The ``k``-th smallest (0-indexed) of ``values[lo:hi]`` for each
+        triple of equal-length arrays; each ``k`` must lie in
+        ``[0, hi - lo)``."""
+        lo = np.asarray(lo, dtype=np.intp) + self._offset
+        hi = np.asarray(hi, dtype=np.intp) + self._offset
+        k = np.asarray(k, dtype=np.intp)
+        code = np.zeros(k.shape, dtype=np.intp)
+        for zeros in self._zeros:
+            below_lo = zeros[lo]
+            below_hi = zeros[hi]
+            count = below_hi - below_lo
+            one = k >= count
+            k = np.where(one, k - count, k)
+            lo = np.where(one, lo - below_lo + zeros[-1], below_lo)
+            hi = np.where(one, hi - below_hi + zeros[-1], below_hi)
+            code = (code << 1) | one
+        return self._sorted[code]

@@ -33,14 +33,13 @@ from repro.core import BMBPPredictor, BoundKind, LogNormalPredictor
 from repro.core.predictor import prefix_kernel
 from repro.runtime import configure, reset_configuration
 from repro.simulator.replay import ENGINE_ENV_VAR, ReplayConfig, replay
-from repro.stats.order_stats import prefix_order_statistics
 
 
 def _bank():
     """Predictors covering every kernel path: order-statistic and running-sum
     refits, trimming (short lengths so random traces actually fire),
-    sliding windows, a lower bound, and the methods the batched engine
-    serves by prefix kernel, with and without a detector."""
+    sliding windows, a lower bound, seeded draws, and the methods the
+    batched engine serves by prefix kernel, with and without a detector."""
     return {
         "bmbp-trim": BMBPPredictor(trim=True, trim_length=4),
         "bmbp-notrim": BMBPPredictor(trim=False),
@@ -58,6 +57,27 @@ def _bank():
         "max-observed": MaxObservedPredictor(),
         "mean-wait": MeanWaitPredictor(),
         "mean-wait-notrim": MeanWaitPredictor(trim=False),
+        **_bootstrap_bank(),
+    }
+
+
+def _bootstrap_bank():
+    """The bootstrap at its defaults and in every shape its kernel
+    special-cases: a trim that leaves fewer than the 30 waits a refit
+    draws for, no detector, a mirror shorter than the history, a lower
+    bound, and a C-quantile that needs no second draw (200 * 0.95 is
+    exactly 190)."""
+    return {
+        "bootstrap": BootstrapQuantilePredictor(),
+        "bootstrap-trim4": BootstrapQuantilePredictor(trim_length=4),
+        "bootstrap-notrim": BootstrapQuantilePredictor(trim=False),
+        "bootstrap-window": BootstrapQuantilePredictor(max_history=40),
+        "bootstrap-lower": BootstrapQuantilePredictor(
+            quantile=0.05, kind=BoundKind.LOWER, trim_length=4
+        ),
+        "bootstrap-one-draw": BootstrapQuantilePredictor(
+            n_resamples=201, trim_length=4
+        ),
     }
 
 
@@ -119,6 +139,10 @@ def _assert_identical(trace, config, make_bank=_bank, served=_KERNEL_SERVED):
         assert pa.miss_threshold == pb.miss_threshold, name
         if pb.detector is not None:
             assert pa.detector.current_run == pb.detector.current_run, name
+        if hasattr(pb, "_rng"):
+            # A seeded method's stream ends where the per-event refits
+            # left it, so its next draw is the same too.
+            assert pa._rng.bit_generator.state == pb._rng.bit_generator.state, name
         qa, qb = pa.predict(), pb.predict()
         assert (qa is None) == (qb is None), name
         if qb is not None:
@@ -156,24 +180,6 @@ JOBS = st.lists(st.tuples(GAPS, WAITS), min_size=5, max_size=50)
 
 
 class TestPrefixKernels:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        values=st.lists(
-            st.one_of(st.just(0.0), st.sampled_from([1.0, 7.0]),
-                      st.floats(min_value=0.0, max_value=1e6)),
-            min_size=1, max_size=60,
-        ),
-        data=st.data(),
-    )
-    def test_prefix_order_statistics_match_sorted_prefixes(self, values, data):
-        # Zero and tied waits included; ranks jump around within [1, m].
-        lengths = sorted(set(data.draw(st.lists(
-            st.integers(min_value=1, max_value=len(values)), min_size=1))))
-        ranks = [data.draw(st.integers(min_value=1, max_value=m)) for m in lengths]
-        got = prefix_order_statistics(np.asarray(values), lengths, ranks)
-        want = [sorted(values[:m])[k - 1] for m, k in zip(lengths, ranks)]
-        assert got.tolist() == want
-
     @pytest.mark.parametrize("every", [1, 3, 17])
     def test_kernels_match_per_item_refits(self, every):
         # Refit after every ``every``-th wait, as a replay's boundaries do:
@@ -240,10 +246,14 @@ class TestPrefixKernels:
             PointQuantilePredictor(trim=False, refit_mode="p2")
         ) is None
         assert prefix_kernel(BMBPPredictor(max_history=16)) is None
-        # No kernel: a path-dependent streamed fit, and a seeded draw per
-        # refit whose stream no vectorized call reproduces.
+        # The bootstrap's draws come from a tape; only its mirror is
+        # bounded, not its history.
+        assert prefix_kernel(BootstrapQuantilePredictor()) is not None
+        assert prefix_kernel(
+            BootstrapQuantilePredictor(refit_mode="recompute")
+        ) is None
+        # No kernel: a path-dependent streamed fit.
         assert prefix_kernel(WeibullPredictor()) is None
-        assert prefix_kernel(BootstrapQuantilePredictor()) is None
         used = MeanWaitPredictor(trim=False)
         used.observe(3.0)
         assert prefix_kernel(used) is None
@@ -580,6 +590,68 @@ class TestChangePointKernels:
         for config in (ReplayConfig(record_series=True),
                        ReplayConfig(epoch=50.0, training_fraction=0.3)):
             _assert_identical(trace, config, _paper_bank, set(_paper_bank()))
+
+
+class TestBootstrapKernel:
+    """The bootstrap's draw tape: each refit's ordinal on the loop's path,
+    checked against the reference engine's quotes and final stream."""
+
+    def test_two_draws_at_the_training_prefix(self):
+        # One short-wait job per epoch: every job drains at the next
+        # boundary, so nothing drains between the transition segment's
+        # boundary refit and ``finish_training``.  Both refit the same 40
+        # waits and each draws; the series keeps the first quote, the jobs
+        # get the second.
+        rng = np.random.default_rng(14)
+        waits = rng.lognormal(2.0, 0.5, 100)
+        trace = _make_trace(np.full(100, 310.0), waits)
+        config = ReplayConfig(training_fraction=0.4, record_series=True)
+        seen = []
+        real = BootstrapQuantilePredictor._compute_bound
+
+        def spy(predictor):
+            seen.append(len(predictor.history))
+            return real(predictor)
+
+        with mock.patch.object(BootstrapQuantilePredictor, "_compute_bound", spy):
+            replay(trace, {"b": BootstrapQuantilePredictor()}, config,
+                   engine="reference")
+        assert seen.count(40) == 2
+        _assert_identical(trace, config, _bootstrap_bank, set(_bootstrap_bank()))
+
+    def test_fire_refit_on_a_boundary(self):
+        # Every drain is a one-job boundary drain, so each fire's refit
+        # lands on the prefix of the boundary refit that follows it, which
+        # then finds nothing new and draws nothing.
+        rng = np.random.default_rng(15)
+        calm = rng.lognormal(2.0, 0.3, 120)
+        ramp = np.minimum(20.0 * 1.03 ** np.arange(120), 290.0)
+        waits = np.concatenate([calm, ramp])
+        trace = _make_trace(np.full(waits.size, 310.0), waits)
+        config = ReplayConfig(record_series=True)
+        reference = replay(trace, _bootstrap_bank(), config, engine="reference")
+        assert reference["bootstrap"].change_points > 0
+        assert reference["bootstrap-trim4"].change_points > 0
+        _assert_identical(trace, config, _bootstrap_bank, set(_bootstrap_bank()))
+
+    @pytest.mark.parametrize("case", [
+        "empty", "under-30", "under-59", "all-equal", "all-zero", "outlier",
+    ])
+    def test_degenerate_inputs(self, case):
+        rng = np.random.default_rng(16)
+        waits = {
+            "empty": np.empty(0),
+            "under-30": rng.lognormal(3.0, 1.0, 25),
+            "under-59": rng.lognormal(3.0, 1.0, 45),
+            "all-equal": np.full(400, 0.1),
+            "all-zero": np.zeros(400),
+            "outlier": np.where(np.arange(400) == 200, 1e12,
+                                rng.lognormal(3.0, 1.0, 400)),
+        }[case]
+        trace = _make_trace(np.full(waits.size, 100.0), waits)
+        for config in (ReplayConfig(record_series=True),
+                       ReplayConfig(epoch=50.0, training_fraction=0.3)):
+            _assert_identical(trace, config, _bootstrap_bank, set(_bootstrap_bank()))
 
 
 class TestEngineSelection:

@@ -1,6 +1,7 @@
 """Tests for the Section 5.1 trace-replay simulator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ class TestScoring:
         high = ConstantPredictor(20.0, kind=BoundKind.LOWER)
         result = replay_single(make_trace([10.0] * 100), high)
         assert result.fraction_correct == 0.0
+
+    def test_subnormal_bound_scores_an_infinite_ratio_quietly(self):
+        # 1.0 / 1e-320 overflows: the ratio is inf in both engines, and
+        # the batched engine's vectorized division warns about nothing.
+        trace = make_trace([1.0] * 100)
+        results = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for engine in ("batched", "reference"):
+                results[engine] = replay_single(
+                    trace, ConstantPredictor(1e-320), engine=engine
+                )
+        batched, reference = results["batched"], results["reference"]
+        assert batched.ratios == reference.ratios
+        assert batched.ratios and all(r == math.inf for r in batched.ratios)
+        assert batched.n_correct == reference.n_correct == 0
 
     def test_median_ratio(self):
         trace = make_trace([10.0] * 100)
