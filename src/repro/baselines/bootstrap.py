@@ -191,6 +191,7 @@ class BootstrapQuantilePredictor(QuantilePredictor):
     def _prefix_bounds(
         self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
         select: Optional[RangeSelect] = None, ordinal: int = 0,
+        carry: Optional[dict] = None,
     ) -> np.ndarray:
         """The quote at each refit (see ``prefix_kernel``), the first of
         which is the predictor's ``ordinal``-th quoting refit.
@@ -219,12 +220,12 @@ class BootstrapQuantilePredictor(QuantilePredictor):
             # ``window.item(-1)``: a zero draw reads the largest wait.
             return select(hi - n, hi, np.where(idx < 0, idx + n, idx))
 
-        bound = order_stat(betaincinv(rank, b, u))
         frac = self._frac
-        if frac != 0.0:
-            upper = order_stat(betaincinv(rank, b, u2))
-            bound = bound * (1.0 - frac) + upper * frac
-        out[quoted] = bound
+        if frac == 0.0:
+            out[quoted] = order_stat(betaincinv(rank, b, u))
+            return out
+        g, g2 = betaincinv(rank, b, np.stack((u, u2)))
+        out[quoted] = order_stat(g) * (1.0 - frac) + order_stat(g2) * frac
         return out
 
     def settle_prefix_refits(self, quoted: int) -> None:

@@ -117,6 +117,7 @@ class DowneyLogUniformPredictor(QuantilePredictor):
     def _prefix_bounds(
         self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
         select: Optional[RangeSelect] = None, ordinal: int = 0,
+        carry: Optional[dict] = None,
     ) -> np.ndarray:
         """The quote at each prefix length (see ``prefix_kernel``).
 

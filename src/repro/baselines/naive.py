@@ -85,6 +85,7 @@ class MaxObservedPredictor(QuantilePredictor):
     def _prefix_bounds(
         self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
         select: Optional[RangeSelect] = None, ordinal: int = 0,
+        carry: Optional[dict] = None,
     ) -> np.ndarray:
         """Running extreme at each prefix length (see ``prefix_kernel``)."""
         running = (
@@ -145,6 +146,7 @@ class PointQuantilePredictor(QuantilePredictor):
     def _prefix_bounds(
         self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
         select: Optional[RangeSelect] = None, ordinal: int = 0,
+        carry: Optional[dict] = None,
     ) -> np.ndarray:
         """Exact prefix order statistics at ``_point_rank`` (see
         ``prefix_kernel``)."""
@@ -152,10 +154,13 @@ class PointQuantilePredictor(QuantilePredictor):
         quoted = lengths > 0
         m = lengths[quoted]
         select = select or RangeSelect(waits)
-        out[quoted] = select(
-            np.zeros_like(m), m, [self._point_rank(n) - 1 for n in m.tolist()]
-        )
+        out[quoted] = select(np.zeros_like(m), m, self._point_ranks(m) - 1)
         return out
+
+    def _point_ranks(self, n: np.ndarray) -> np.ndarray:
+        """``_point_rank`` at each of ``n`` (positive sizes) at once; the
+        product and ceiling round as ``math``'s do."""
+        return np.maximum(1, np.ceil(n * self.quantile)).astype(np.intp)
 
 
 class MeanWaitPredictor(QuantilePredictor):
@@ -200,19 +205,28 @@ class MeanWaitPredictor(QuantilePredictor):
     def _prefix_bounds(
         self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
         select: Optional[RangeSelect] = None, ordinal: int = 0,
+        carry: Optional[dict] = None,
     ) -> np.ndarray:
         """Running mean at each prefix length (see ``prefix_kernel``).
 
         ``np.cumsum`` adds left to right like the per-item ``_sum += wait``
         feed, starting from the pairwise ``sum`` that
-        ``_on_history_trimmed`` rebuilds a trimmed window with, so each
-        quote equals the per-event one bit for bit.
+        ``_on_history_trimmed`` rebuilds a trimmed window with (or from
+        the ``(n, Σ)`` an earlier call left in ``carry``), so each quote
+        equals the per-event one bit for bit.
         """
-        running = np.cumsum(np.concatenate(([waits[:window].sum()], waits[window:])))
         out = np.full(lengths.size, np.nan)
+        if lengths.size == 0:
+            return out
+        state = carry.get("sums") if carry is not None else None
+        n0, total = state or (window, waits[:window].sum())
+        last = int(lengths[-1])
+        running = np.cumsum(np.concatenate(([total], waits[n0:last])))
+        if carry is not None:
+            carry["sums"] = (last, float(running[-1]))
         quoted = lengths > 0
         m = lengths[quoted]
-        out[quoted] = running[m - window] / m
+        out[quoted] = running[m - n0] / m
         return out
 
 

@@ -166,19 +166,50 @@ class BMBPPredictor(QuantilePredictor):
     def _prefix_bounds(
         self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
         select: Optional[RangeSelect] = None, ordinal: int = 0,
+        carry: Optional[dict] = None,
     ) -> np.ndarray:
         """Exact prefix order statistics at ``_bound_rank`` (see
         ``prefix_kernel``); ``NaN`` where the window is too small for a
         bound at this confidence."""
+        ranks = self._bound_ranks(lengths)
         out = np.full(lengths.size, np.nan)
-        quoted, m, ranks = [], [], []
-        for i, n in enumerate(lengths.tolist()):
-            rank = self._bound_rank(n) if n else None
-            if rank is not None:
-                quoted.append(i)
-                m.append(n)
-                ranks.append(rank - 1)
-        if quoted:
+        quoted = np.flatnonzero(ranks > 0)
+        if quoted.size:
             select = select or RangeSelect(waits)
-            out[quoted] = select(np.zeros(len(m), dtype=np.intp), m, ranks)
+            out[quoted] = select(
+                np.zeros(quoted.size, dtype=np.intp), lengths[quoted],
+                ranks[quoted] - 1,
+            )
         return out
+
+    def _bound_ranks(self, n: np.ndarray) -> np.ndarray:
+        """``_bound_rank`` at each of ``n`` (``0`` for ``None``).
+
+        From ``_normal_n_min`` up, ``_bound_rank``'s closed form is
+        evaluated for every size at once: its ``sqrt``, ``ceil`` and
+        ``floor`` are correctly rounded in numpy as in ``math``, so the
+        ranks are the same integers.  Smaller sizes go through
+        ``_bound_rank`` itself, once per distinct size.
+        """
+        ranks = np.zeros(n.size, dtype=np.intp)
+        n_min = self._normal_n_min
+        normal = n >= n_min if n_min is not None else np.zeros(n.size, dtype=bool)
+        if normal.any():
+            m = n[normal]
+            q = self.quantile
+            mq = m * q
+            spread = self._z * np.sqrt(mq * (1.0 - q))
+            if self.kind is BoundKind.UPPER:
+                rank = np.maximum(np.ceil(mq + spread), 1)
+                rank[rank > m] = 0
+            else:
+                rank = np.minimum(np.floor(mq - spread), m)
+                rank[rank < 1] = 0
+            ranks[normal] = rank
+        small = np.flatnonzero(~normal & (n > 0))
+        if small.size:
+            sizes, at = np.unique(n[small], return_inverse=True)
+            ranks[small] = np.array(
+                [self._bound_rank(k) or 0 for k in sizes.tolist()], dtype=np.intp
+            )[at]
+        return ranks

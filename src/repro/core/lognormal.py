@@ -67,6 +67,18 @@ def _factor_bucket(n: int) -> int:
     return (n // magnitude) * magnitude
 
 
+#: ``10 ** k`` for every digit count an int64 sample size can have.
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _factor_buckets(n: np.ndarray) -> np.ndarray:
+    """``_factor_bucket`` at each of ``n`` (positive sample sizes)."""
+    n = np.asarray(n, dtype=np.int64)
+    digits = np.searchsorted(_POWERS_OF_TEN, n, side="right")
+    magnitude = _POWERS_OF_TEN[np.maximum(digits - 3, 0)]
+    return np.where(n <= 1000, n, (n // magnitude) * magnitude)
+
+
 @lru_cache(maxsize=65536)
 def _upper_factor(n_bucket: int, quantile: float, confidence: float) -> float:
     return normal_quantile_upper_factor(n_bucket, quantile, confidence)
@@ -228,51 +240,73 @@ class LogNormalPredictor(QuantilePredictor):
             return _upper_factor(_factor_bucket(n), self.quantile, self.confidence)
         return _lower_factor(_factor_bucket(n), self.quantile, self.confidence)
 
+    def _factors(self, n: np.ndarray) -> np.ndarray:
+        """``_factor`` at each of ``n``: one cached lookup per bucket."""
+        factor = _upper_factor if self.kind is BoundKind.UPPER else _lower_factor
+        buckets, at = np.unique(_factor_buckets(n), return_inverse=True)
+        return np.array(
+            [factor(b, self.quantile, self.confidence) for b in buckets.tolist()]
+        )[at]
+
     def _prefix_bounds(
         self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,
         select: Optional[RangeSelect] = None, ordinal: int = 0,
+        carry: Optional[dict] = None,
     ) -> np.ndarray:
         """The quote at each prefix length (see ``prefix_kernel``).
 
         A trimmed window's sums are rebuilt as ``_on_history_trimmed``
-        rebuilds them, and the waits between consecutive lengths are
-        folded exactly as the per-item feed folds what arrived between two
-        refits (``_fold_logs``: one or two ``math.log`` terms at a time,
-        longer runs as one vectorized sum).  Collecting those terms in
-        feed order and accumulating them with ``np.cumsum`` performs the
-        same additions in the same order, and ``_tolerance_bound``'s
-        arithmetic is elementwise, so the quotes match the per-item feed
-        bit for bit.
+        rebuilds them (or continue from ``carry``), and the waits between
+        consecutive lengths are folded exactly as the per-item feed folds
+        what arrived between two refits (``_fold_logs``): a gap of one or
+        two waits as ``math.log`` terms, one slot per wait, a longer gap
+        as one vectorized sum in its last slot and zeros in the others.
+        ``np.cumsum`` over those slots performs the feed's additions in
+        the feed's order (adding ``0.0`` leaves a sum unchanged), and
+        ``_tolerance_bound``'s arithmetic is elementwise, so the quotes
+        match the per-item feed bit for bit.  The scalar logs and the
+        final ``exp`` stay ``math``'s, as in the feed: numpy's vectorized
+        ``log`` and ``exp`` differ from them in the last bit on some
+        inputs.
         """
-        shift = self.shift
-        n, total, sumsq = _window_moments(waits[:window], shift)
-        terms, terms_sq, at = [total], [sumsq], []
-        for m in lengths.tolist():
-            if m - n > 2:
-                logs = np.log(waits[n:m] + shift)
-                terms.append(float(logs.sum()))
-                terms_sq.append(float(np.dot(logs, logs)))
-            else:
-                for wait in waits[n:m].tolist():
-                    log_wait = math.log(wait + shift)
-                    terms.append(log_wait)
-                    terms_sq.append(log_wait * log_wait)
-            n = m
-            at.append(len(terms) - 1)
         out = np.full(lengths.size, np.nan)
+        if lengths.size == 0:
+            return out
+        shift = self.shift
+        state = carry.get("sums") if carry is not None else None
+        n0, total, sumsq = state or _window_moments(waits[:window], shift)
+        last = int(lengths[-1])
+        gaps = np.diff(lengths, prepend=n0)
+        big = gaps > 2
+        terms = np.zeros(last - n0 + 1)
+        terms_sq = np.zeros(last - n0 + 1)
+        terms[0], terms_sq[0] = total, sumsq
+        small = np.flatnonzero(~np.repeat(big, gaps)) + n0
+        logs = np.fromiter(
+            map(math.log, (waits[small] + shift).tolist()), float, small.size
+        )
+        terms[small - n0 + 1] = logs
+        terms_sq[small - n0 + 1] = logs * logs
+        for lo, hi in zip((lengths - gaps)[big].tolist(), lengths[big].tolist()):
+            gap_logs = np.log(waits[lo:hi] + shift)
+            terms[hi - n0] = gap_logs.sum()
+            terms_sq[hi - n0] = np.dot(gap_logs, gap_logs)
+        sums, sums_sq = np.cumsum(terms), np.cumsum(terms_sq)
+        if carry is not None:
+            carry["sums"] = (last, float(sums[-1]), float(sums_sq[-1]))
         fitted = np.flatnonzero(lengths >= 2)
         if fitted.size:
-            count = lengths[fitted].astype(float)
-            mean = np.cumsum(terms)[at][fitted] / count
+            m = lengths[fitted]
+            count = m.astype(float)
+            mean = sums[m - n0] / count
             var = np.maximum(
-                0.0,
-                (np.cumsum(terms_sq)[at][fitted] - count * mean * mean) / (count - 1),
+                0.0, (sums_sq[m - n0] - count * mean * mean) / (count - 1)
             )
-            factor = [self._factor(k) for k in lengths[fitted].tolist()]
-            exponent = np.minimum(mean + factor * np.sqrt(var), _MAX_EXPONENT)
-            out[fitted] = np.maximum(
-                0.0, [math.exp(x) - shift for x in exponent.tolist()]
+            exponent = np.minimum(
+                mean + self._factors(m) * np.sqrt(var), _MAX_EXPONENT
             )
+            exp = np.fromiter(map(math.exp, exponent.tolist()), float, m.size)
+            out[fitted] = np.maximum(0.0, exp - shift)
         return out
 
 

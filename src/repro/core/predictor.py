@@ -111,11 +111,11 @@ def prefix_kernel(
     two fires each quote is a function of the retained waits
     ``waits[s:n]``, so the same call serves a trimming predictor one fire
     at a time.  A class offers that call as ``_prefix_bounds(waits,
-    lengths, window=0, select=None, ordinal=0)``: ``waits`` is the drained
-    sequence in drain order, ``lengths`` the non-decreasing prefix lengths
-    at which it refits, and the result holds the bound ``_compute_bound``
-    returns at each of those refits when fed ``waits`` one ``observe`` at
-    a time (``NaN`` where it returns ``None``).  A repeated length is a
+    lengths, window=0, select=None, ordinal=0, carry=None)``: ``waits`` is
+    the drained sequence in drain order, ``lengths`` the non-decreasing
+    prefix lengths at which it refits, and the result holds the bound
+    ``_compute_bound`` returns at each of those refits when fed ``waits``
+    one ``observe`` at a time (``NaN`` where it returns ``None``).  A repeated length is a
     second refit at the same prefix (``finish_training`` right after a
     boundary refit).  With ``window = w > 0`` the first ``w`` waits are
     instead the window a trim left behind, rebuilt by
@@ -127,7 +127,13 @@ def prefix_kernel(
     ``ordinal`` counts the predictor's earlier refits that quoted a bound:
     a kernel whose refits draw from a random stream indexes its draws by
     it, and :meth:`QuantilePredictor.settle_prefix_refits` then leaves the
-    stream where the replay's refits would.
+    stream where the replay's refits would.  ``carry``, when given, is a
+    dict shared by successive calls over one retained window, each of
+    which quotes the refits after the previous call's last: a kernel
+    whose running sums depend on how waits were grouped between refits
+    (log-normal, mean-wait) leaves them there, and the next call adds on
+    from them rather than from ``window``, performing the additions one
+    call over all the lengths would.  The other kernels ignore it.
 
     Returns the bound kernel, or ``None`` when the predictor must be
     replayed event by event: it has a window or a non-incremental refit

@@ -649,8 +649,8 @@ def _replay_batched(
 
 #: Drain positions a trimming kernel scans in its first chunk after a
 #: restart, at the least.  Chunks then double while no fire turns up, so
-#: the window prefix each chunk re-quotes stays a bounded fraction of the
-#: work (see ``_kernel_walk``).
+#: the lookahead a fire discards stays a bounded fraction of the work
+#: (see ``_kernel_walk``).
 _MIN_CHUNK = 64
 
 
@@ -796,20 +796,24 @@ def _kernel_walk(
     before its submit, and ``horizons[i]`` drains precede that submit.
     Without a detector threshold this is a single kernel call.  Otherwise
     it works chunk by chunk from the window start ``s``: quote the chunk's
-    refit prefixes with ``kernel(drained[s:], lengths - s, ...)``, score the
-    chunk's drains in drain order against the quote each job got at
-    submit, and find the first fire from the carried miss run.  A fire at
-    drain position ``g`` trims the window to ``max(s, g + 1 - trim)`` and
-    refits at ``g + 1``; the jobs submitted after that drain whose segment
-    refit came before it are requoted with that value, and the scan
-    restarts at ``g + 1``.  A chunk starts at twice the last gap between
-    fires and doubles while none fires, so the window prefix each chunk
-    re-quotes costs at most a constant factor of the drains scanned.
+    new refit prefixes with ``kernel(drained[s:], lengths - s, ...)``,
+    score the chunk's drains in drain order against the quote each job got
+    at submit, and find the first fire from the carried miss run.  A fire
+    at drain position ``g`` trims the window to ``max(s, g + 1 - trim)``
+    and refits at ``g + 1``; the jobs submitted after that drain whose
+    segment refit came before it are requoted with that value, and the
+    scan restarts at ``g + 1``.  A chunk starts at twice the last gap
+    between fires and doubles while none fires.
 
-    Each kernel call is also told how many refits before its first one
-    quoted a bound (its ``ordinal``): the refits on the final path, the
-    fires' own included.  A chunk's lookahead past the next fire may quote
-    refits that path never makes; they are requoted after the fire.
+    Each refit is quoted once per retained window: every kernel call over
+    one window shares a ``carry`` in which the kernels whose running sums
+    depend on how waits were grouped between refits leave their state for
+    the next chunk, and a fire starts a fresh one.  The first chunk after
+    a fire also quotes the fire's own refit, unless a boundary refit lands
+    on the same prefix (``lead``).  Each call is also told how many refits
+    before its first one quoted a bound on the final path (its
+    ``ordinal``).  A chunk's lookahead past the next fire may quote refits
+    that path never makes; they are dropped and requoted after the fire.
     """
     n_jobs = at_job.size
     n_drained = drained.size
@@ -818,12 +822,10 @@ def _kernel_walk(
     job_lengths = lengths[at_job]
     upper = predictor.kind is BoundKind.UPPER
     run = predictor.detector.current_run if predictor.detector is not None else 0
-    # ``before``: refits that quoted before the latest fire's own refit,
-    # which is a refit of its own (``lead``) unless a boundary refit at
-    # the same prefix found nothing new to refit.
-    s = window = fires = before = 0
+    s = window = fires = ordinal = 0
     fire, fire_value, lead = -1, math.nan, False
-    pos, i0, b0, b_run = scan_from, 0, 0, 0
+    carry: dict = {}
+    pos, i0, b0 = scan_from, 0, 0
     size = n_drained if threshold is None else max(_MIN_CHUNK, pos)
     while True:
         end = min(n_drained, pos + size)
@@ -832,20 +834,19 @@ def _kernel_walk(
         else:
             i1 = int(np.searchsorted(horizons, end, side="right"))
             b1 = int(np.searchsorted(lengths, end, side="right"))
-        # Quote the chunk over the window retained since the latest fire:
-        # that fire's own refit and every boundary refit after it, the
-        # earlier ones included, since a kernel's running sums may depend
-        # on how the waits were grouped between refits.
-        refits = lengths[b_run:b1]
-        if fire >= 0 and lead:
+        refits = lengths[b0:b1]
+        first = fire >= 0 and pos == fire + 1  # the first chunk after a fire
+        if first and lead:
             refits = np.concatenate(([fire + 1], refits))
         if refits.size:
             got = kernel(
-                drained[s:refits[-1]], refits - s, window, select.at(s), before
+                drained[s:refits[-1]], refits - s, window, select.at(s),
+                ordinal, carry,
             )
-            if fire >= 0:
+            if first:
                 fire_value = float(got[0])
             values[b0:b1] = got[got.size - (b1 - b0):]
+            ordinal += int(np.count_nonzero(~np.isnan(got)))
         quotes = values[at_job[i0:i1]]
         if fire >= 0:
             quotes[job_lengths[i0:i1] <= fire] = fire_value
@@ -870,28 +871,22 @@ def _kernel_walk(
             continue
         g = pos + int(scored[k])
         b_fire = int(np.searchsorted(lengths, g, side="right"))
-        before += _count_quotes(lead, fire_value, values[b_run:b_fire])
+        # The refits past the fire are dropped and requoted after it.
+        ordinal -= int(np.count_nonzero(~np.isnan(values[b_fire:b1])))
         size = max(_MIN_CHUNK, 2 * (g - max(fire, scan_from)))
         fires += 1
         fire = g
         s = max(s, g + 1 - predictor.trim_length)
         window = g + 1 - s
         run = 0
+        carry = {}
         pos = g + 1
         i0 = int(np.searchsorted(horizons, g, side="right"))
-        b0 = b_run = b_fire
-        lead = b_run == lengths.size or lengths[b_run] > g + 1
-    quoted = before + _count_quotes(lead, fire_value, values[b_run:])
+        b0 = b_fire
+        lead = b0 == lengths.size or lengths[b0] > g + 1
     return _KernelWalk(
-        job_quotes, values, s, fire, fire_value, run, fires, quoted
+        job_quotes, values, s, fire, fire_value, run, fires, ordinal
     )
-
-
-def _count_quotes(lead: bool, fire_value: float, values: np.ndarray) -> int:
-    """Refits of a run that quoted: its fire's own, when it is a refit
-    of its own (``lead``), and those at ``values``."""
-    own = lead and not math.isnan(fire_value)
-    return int(own) + int(np.count_nonzero(~np.isnan(values)))
 
 
 def _submit_horizons(

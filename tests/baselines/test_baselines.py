@@ -67,6 +67,14 @@ class TestPointQuantile:
         assert point <= bmbp  # no confidence margin
 
 
+    @pytest.mark.parametrize("q", [0.95, 0.5, 0.25, 0.05, 1 / 3, 0.99])
+    def test_vectorized_ranks_match_scalar(self, q):
+        predictor = PointQuantilePredictor(quantile=q)
+        n = np.arange(1, 100_001)
+        want = [predictor._point_rank(k) for k in n.tolist()]
+        assert predictor._point_ranks(n).tolist() == want
+
+
 class TestDowney:
     def test_bound_within_sample_log_range(self, rng):
         values = rng.lognormal(3, 1, 300)

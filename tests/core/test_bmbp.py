@@ -46,6 +46,33 @@ class TestBoundComputation:
             BMBPPredictor(confidence=0.0)
 
 
+class TestVectorizedRanks:
+    """``_bound_ranks`` (the prefix kernel's ranks) against the scalar
+    ``_bound_rank`` the per-event refit resolves, ``None`` read as 0."""
+
+    @pytest.mark.parametrize("kind, q", [
+        (BoundKind.UPPER, 0.95), (BoundKind.LOWER, 0.05), (BoundKind.LOWER, 0.25),
+    ])
+    @pytest.mark.parametrize("method", ["auto", "normal"])
+    def test_closed_form_ranks_match_scalar(self, kind, q, method):
+        predictor = BMBPPredictor(quantile=q, kind=kind, method=method)
+        n = np.arange(1, 100_001)
+        want = [predictor._bound_rank(k) or 0 for k in n.tolist()]
+        assert predictor._bound_ranks(n).tolist() == want
+
+    @pytest.mark.parametrize("kind, q", [
+        (BoundKind.UPPER, 0.95), (BoundKind.LOWER, 0.25),
+    ])
+    def test_exact_ranks_match_scalar(self, kind, q):
+        # ``exact`` resolves every size through the scalar binomial search
+        # (about 0.2 ms a size), so this sweeps the sizes a trimmed window
+        # sees densely and the rest up to 10^5 by a stride.
+        predictor = BMBPPredictor(quantile=q, kind=kind, method="exact")
+        n = np.concatenate((np.arange(1, 2001), np.arange(2001, 100_001, 997)))
+        want = [predictor._bound_rank(k) or 0 for k in n.tolist()]
+        assert predictor._bound_ranks(n).tolist() == want
+
+
 class TestProtocol:
     def test_predict_is_cached_until_refit(self):
         predictor = BMBPPredictor()

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.lognormal import LogNormalPredictor, _factor_bucket
+from repro.core.lognormal import (
+    LogNormalPredictor,
+    _factor_bucket,
+    _factor_buckets,
+)
 from repro.core.predictor import BoundKind
 from repro.stats.tolerance import normal_quantile_upper_factor
 
@@ -102,6 +106,23 @@ class TestFactorBucketing:
     def test_coarse_above_1000(self):
         assert _factor_bucket(12345) == 12300
         assert _factor_bucket(1234) == 1230
+
+    def test_vectorized_buckets_match_scalar(self):
+        # Every size a replay's kernel can ask for below 10^5, and both
+        # sides of every decade edge the digit count changes at.
+        edges = [
+            e + d for k in range(3, 13) for e in (10 ** k,) for d in (-1, 0, 1)
+        ]
+        n = np.concatenate((np.arange(1, 100_001), edges))
+        want = [_factor_bucket(k) for k in n.tolist()]
+        assert _factor_buckets(n).tolist() == want
+
+    def test_vectorized_factors_match_scalar(self):
+        n = np.array([2, 3, 59, 999, 1000, 1001, 1234, 1239, 99_999, 10 ** 6])
+        for kind, q in ((BoundKind.UPPER, 0.95), (BoundKind.LOWER, 0.05)):
+            predictor = LogNormalPredictor(quantile=q, kind=kind)
+            want = [predictor._factor(k) for k in n.tolist()]
+            assert predictor._factors(n).tolist() == want
 
     def test_bucketing_error_is_negligible(self):
         for n in (1500, 15000, 150000):

@@ -228,6 +228,38 @@ class TestPrefixKernels:
             got = prefix_kernel(_bank()[name])(waits, lengths, window)
             assert np.array_equal(got, want, equal_nan=True), name
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        window=st.sampled_from([0, 0, 1, 3, 40]),
+        steps=st.lists(st.sampled_from([0, 1, 1, 2, 3, 5, 17]), min_size=1,
+                       max_size=40),
+        cuts=st.lists(st.integers(0, 40), max_size=6),
+    )
+    def test_split_calls_sharing_a_carry_match_one_call(
+        self, seed, window, steps, cuts
+    ):
+        # A replay quotes a retained window's refits chunk by chunk, each
+        # refit once: every call continues from the ``carry`` the one
+        # before left and from the ordinal of the quotes already taken.
+        # Step 0 repeats a length (the double refit at the training
+        # prefix).
+        lengths = window + np.cumsum(steps)
+        rng = np.random.default_rng(seed)
+        waits = rng.lognormal(3.0, 1.5, int(lengths[-1]))
+        waits[::5] = 0.0
+        bounds = sorted({0, lengths.size, *(c for c in cuts if c < lengths.size)})
+        for name in sorted(_KERNEL_SERVED):
+            want = prefix_kernel(_bank()[name])(waits, lengths, window)
+            kernel = prefix_kernel(_bank()[name])
+            carry, ordinal, pieces = {}, 0, []
+            for lo, hi in zip(bounds, bounds[1:]):
+                piece = lengths[lo:hi]
+                got = kernel(waits[:piece[-1]], piece, window, None, ordinal, carry)
+                ordinal += int(np.count_nonzero(~np.isnan(got)))
+                pieces.append(got)
+            assert np.array_equal(np.concatenate(pieces), want, equal_nan=True), name
+
     def test_eligibility_is_a_class_capability(self):
         class Overridden(MeanWaitPredictor):
             def _compute_bound(self):
@@ -527,6 +559,72 @@ class TestChangePointKernels:
                 _assert_identical(trace, config, _paper_bank, set(_paper_bank()))
         # Some fire completed a run begun in the previous chunk.
         assert any(carry > 0 and fired is not None for carry, fired in calls)
+
+    @staticmethod
+    def _quoted_lengths(trace, config):
+        """Refits each kernel quotes in a batched replay of ``_paper_bank``,
+        and the change points the reference replay finds."""
+        quoted = {}
+        real = _replay_module.prefix_kernel
+
+        def spy(predictor):
+            kernel = real(predictor)
+            if kernel is None:
+                return None
+
+            def counted(waits, lengths, *args):
+                quoted[predictor.name] = quoted.get(predictor.name, 0) + lengths.size
+                return kernel(waits, lengths, *args)
+
+            return counted
+
+        with mock.patch.object(_replay_module, "prefix_kernel", spy):
+            replay(trace, _paper_bank(), config, engine="batched")
+        reference = replay(trace, _paper_bank(), config, engine="reference")
+        return quoted, {name: r.change_points for name, r in reference.items()}
+
+    def test_each_refit_is_quoted_once(self):
+        # Without a fire every chunk quotes only its own refits: the
+        # lengths handed to a kernel add up to the replay's refit count.
+        # Each wait is shorter than every earlier one, so nothing misses,
+        # and starts come less than an epoch apart, so every refit sees
+        # new waits; BMBP quotes from the end of training on, so no
+        # boundary refits an unchanged window because it holds no quote.
+        waits = 100.0 * 0.99 ** np.arange(400)
+        trace = _make_trace(np.r_[0.0, np.full(waits.size - 1, 299.0)], waits)
+        config = ReplayConfig(training_fraction=0.2, record_series=True)
+        refits = {}
+        bank = _paper_bank()
+        for name, predictor in bank.items():
+            def count(real=predictor._compute_bound, name=name):
+                refits[name] = refits.get(name, 0) + 1
+                return real()
+
+            predictor._compute_bound = count
+        replay(trace, bank, config, engine="reference")
+        quoted, fires = self._quoted_lengths(trace, config)
+        assert set(fires.values()) == {0}
+        assert quoted == refits
+
+    def test_fire_heavy_replay_quotes_each_refit_once_per_window(self):
+        # Six level shifts, three of them upward: every method fires at
+        # each, mean-wait all along.  Only a chunk's lookahead past a fire
+        # is quoted twice.  When every chunk requoted its window's refits
+        # these counts were 1862, 1452, 4878 and 2375.
+        rng = np.random.default_rng(23)
+        waits = np.concatenate([
+            rng.lognormal(level, 0.3, 150)
+            for level in (2.0, 4.0, 2.5, 4.5, 3.0, 5.0)
+        ])
+        trace = _make_trace(np.full(waits.size, 310.0), waits)
+        quoted, fires = self._quoted_lengths(trace, ReplayConfig())
+        assert fires == {
+            "bmbp": 4, "logn-trim": 4, "mean-wait": 68, "point-quantile": 6,
+        }
+        assert quoted == {
+            "bmbp": 1501, "logn-trim": 1202, "mean-wait": 4751,
+            "point-quantile": 1823,
+        }
 
     def test_back_to_back_fires_closer_than_trim_length(self):
         trace = _ramp_trace()
