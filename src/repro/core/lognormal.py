@@ -27,8 +27,7 @@ at the same shift) split a single ``np.log`` pass.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,9 +56,9 @@ def _factor_bucket(n: int) -> int:
     K'(n) changes by well under 0.1% per unit n once n is in the thousands;
     rounding n to ~1% granularity above 1000 makes the noncentral-t quantile
     evaluation cacheable without measurably moving the bound.  Together
-    with the ``lru_cache`` on ``_upper_factor``/``_lower_factor`` below
-    this makes the K′ lookup an O(1) dictionary hit in steady state — the
-    noncentral-t ppf is only ever evaluated once per (bucket, level).
+    with the per-process :class:`_FactorMemo` below this makes the K′
+    lookup an O(1) dictionary hit in steady state — the noncentral-t ppf is
+    only ever evaluated once per (bucket, level).
     """
     if n <= 1000:
         return n
@@ -79,14 +78,69 @@ def _factor_buckets(n: np.ndarray) -> np.ndarray:
     return np.where(n <= 1000, n, (n // magnitude) * magnitude)
 
 
-@lru_cache(maxsize=65536)
-def _upper_factor(n_bucket: int, quantile: float, confidence: float) -> float:
-    return normal_quantile_upper_factor(n_bucket, quantile, confidence)
+class _FactorMemo:
+    """K′ for one ``(quantile, confidence, kind)``, by sample-size bucket.
+
+    A request fills all of its missing buckets with one vectorized
+    tolerance-factor call (elementwise, so each value equals the scalar
+    call's bit for bit).  ``prime(max_n)`` fills every bucket of n = 2 …
+    ``max_n`` and records ``max_n`` as a watermark, so priming again
+    without new sizes costs nothing.  There is one memo per key in a
+    process (:func:`_factor_memo`): a pool forked after ``prime``
+    inherits it instead of rebuilding it in every worker.
+    """
+
+    def __init__(self, quantile: float, confidence: float, kind: BoundKind):
+        self._level = (quantile, confidence)
+        self._compute = (
+            normal_quantile_upper_factor
+            if kind is BoundKind.UPPER
+            else normal_quantile_lower_factor
+        )
+        self._values: Dict[int, float] = {}
+        #: Every bucket of a sample size up to this one is filled.
+        self._primed = 1
+
+    def fill(self, buckets: np.ndarray) -> None:
+        """Compute the factor of every bucket not yet held, in one call."""
+        missing = [b for b in buckets.tolist() if b not in self._values]
+        if missing:
+            values = self._compute(np.array(missing), *self._level)
+            self._values.update(zip(missing, values.tolist()))
+
+    def prime(self, max_n: int) -> None:
+        """Fill the bucket of every sample size from 2 to ``max_n``."""
+        if max_n > self._primed:
+            sizes = np.arange(self._primed + 1, max_n + 1)
+            self.fill(np.unique(_factor_buckets(sizes)))
+            self._primed = max_n
+
+    def __call__(self, n: int) -> float:
+        bucket = _factor_bucket(n)
+        value = self._values.get(bucket)
+        if value is None:
+            self.fill(np.array([bucket]))
+            value = self._values[bucket]
+        return value
+
+    def at(self, n: np.ndarray) -> np.ndarray:
+        """The factor at each of ``n``."""
+        buckets, inverse = np.unique(_factor_buckets(n), return_inverse=True)
+        self.fill(buckets)
+        values = self._values
+        return np.array([values[b] for b in buckets.tolist()])[inverse]
 
 
-@lru_cache(maxsize=65536)
-def _lower_factor(n_bucket: int, quantile: float, confidence: float) -> float:
-    return normal_quantile_lower_factor(n_bucket, quantile, confidence)
+_FACTOR_MEMOS: Dict[Tuple[float, float, BoundKind], _FactorMemo] = {}
+
+
+def _factor_memo(quantile: float, confidence: float, kind: BoundKind) -> _FactorMemo:
+    """This process's K′ memo for one level and bound side."""
+    key = (quantile, confidence, kind)
+    memo = _FACTOR_MEMOS.get(key)
+    if memo is None:
+        memo = _FACTOR_MEMOS[key] = _FactorMemo(quantile, confidence, kind)
+    return memo
 
 
 def _fold_logs(
@@ -234,19 +288,17 @@ class LogNormalPredictor(QuantilePredictor):
             n, self._sum, self._sumsq, self._factor(n), self.shift
         )
 
+    def prime(self, max_n: int) -> None:
+        super().prime(max_n)
+        _factor_memo(self.quantile, self.confidence, self.kind).prime(max_n)
+
     def _factor(self, n: int) -> float:
-        """The cached K′ tolerance factor for an ``n``-wait fit."""
-        if self.kind is BoundKind.UPPER:
-            return _upper_factor(_factor_bucket(n), self.quantile, self.confidence)
-        return _lower_factor(_factor_bucket(n), self.quantile, self.confidence)
+        """The memoized K′ tolerance factor for an ``n``-wait fit."""
+        return _factor_memo(self.quantile, self.confidence, self.kind)(n)
 
     def _factors(self, n: np.ndarray) -> np.ndarray:
-        """``_factor`` at each of ``n``: one cached lookup per bucket."""
-        factor = _upper_factor if self.kind is BoundKind.UPPER else _lower_factor
-        buckets, at = np.unique(_factor_buckets(n), return_inverse=True)
-        return np.array(
-            [factor(b, self.quantile, self.confidence) for b in buckets.tolist()]
-        )[at]
+        """``_factor`` at each of ``n``: one memo lookup per bucket."""
+        return _factor_memo(self.quantile, self.confidence, self.kind).at(n)
 
     def _prefix_bounds(
         self, waits: np.ndarray, lengths: np.ndarray, window: int = 0,

@@ -457,6 +457,19 @@ class QuantilePredictor(ABC):
         table = self._table or default_rare_event_table(self.quantile)
         return table.threshold_for(rho)
 
+    def prime(self, max_n: int) -> None:
+        """Build the per-process tables this predictor's refits read.
+
+        The tables are pure functions, memoized once per process: here the
+        default rare-event table ``tuned_threshold`` reads (for a trimming
+        predictor without its own); subclasses add theirs for histories
+        of up to ``max_n`` waits.  A replay primes its bank before it
+        fans out, so pool workers inherit the tables instead of each
+        building them again.
+        """
+        if self.trim and self._table is None:
+            default_rare_event_table(self.quantile)
+
     @property
     def trained(self) -> bool:
         return self._trained

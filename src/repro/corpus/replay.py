@@ -455,9 +455,10 @@ def replay_store(
     is_store = isinstance(store, CorpusStore)
     view = store.view() if is_store else store
     site = getattr(store, "site", view.name)
+    bank = conformance.make_bank(refit_mode)
     methods_tuple: Optional[Tuple[str, ...]] = None
     if methods:
-        known = sorted(conformance.make_bank(refit_mode))
+        known = sorted(bank)
         unknown = [m for m in methods if m not in known]
         if unknown:
             raise KeyError(
@@ -484,6 +485,14 @@ def replay_store(
     }
     started = time.perf_counter()
     before = runtime.stats()
+    # Units fill per-process memos (K′ factors, the rare-event table) that
+    # a pool's workers would otherwise each rebuild and drop on every
+    # replay: fill them here, once, for the longest unit, before the
+    # fan-out forks.
+    if units:
+        longest = max(unit.cost for unit in units)
+        for name in methods_tuple or bank:
+            bank[name].prime(longest)
 
     if is_store:
         store_path = str(store.path)

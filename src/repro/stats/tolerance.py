@@ -16,9 +16,13 @@ the noncentral t distribution.  We compute K' directly from
 
 from __future__ import annotations
 
-import math
+from typing import Union
 
+import numpy as np
 from scipy import stats as sps
+
+#: A sample size, or an array of them.
+Sizes = Union[int, np.ndarray]
 
 __all__ = [
     "minimum_sample_size_normal",
@@ -27,32 +31,42 @@ __all__ = [
 ]
 
 
-def _validate(n: int, quantile: float, confidence: float) -> None:
-    if n < 2:
-        raise ValueError(f"tolerance factors require n >= 2, got n={n}")
+def _validate(n: Sizes, quantile: float, confidence: float) -> None:
+    smallest = int(np.min(n))
+    if smallest < 2:
+        raise ValueError(f"tolerance factors require n >= 2, got n={smallest}")
     if not 0.0 < quantile < 1.0:
         raise ValueError(f"quantile must be in (0, 1), got {quantile}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
 
 
-def normal_quantile_upper_factor(n: int, quantile: float, confidence: float) -> float:
+def normal_quantile_upper_factor(
+    n: Sizes, quantile: float, confidence: float
+) -> Union[float, np.ndarray]:
     """K' such that ``m + K' * s`` is a level-``confidence`` upper bound on the
     ``quantile``-quantile of a normal population, from a sample of size n.
 
     ``s`` is the sample standard deviation with ddof=1 (the convention the
-    noncentral-t derivation assumes).
+    noncentral-t derivation assumes).  ``n`` may be an integer (the result
+    is a float) or an array of them (the result is an array, from one
+    ``nct.ppf`` call); ``nct.ppf`` is elementwise, so each element equals
+    the scalar call's result bit for bit.
     """
     _validate(n, quantile, confidence)
     z_q = float(sps.norm.ppf(quantile))
-    nc = z_q * math.sqrt(n)
-    t_val = float(sps.nct.ppf(confidence, df=n - 1, nc=nc))
-    return t_val / math.sqrt(n)
+    root = np.sqrt(n)
+    t_val = sps.nct.ppf(confidence, df=np.subtract(n, 1), nc=z_q * root)
+    factor = t_val / root
+    return float(factor) if np.ndim(n) == 0 else factor
 
 
-def normal_quantile_lower_factor(n: int, quantile: float, confidence: float) -> float:
+def normal_quantile_lower_factor(
+    n: Sizes, quantile: float, confidence: float
+) -> Union[float, np.ndarray]:
     """K such that ``m + K * s`` is a level-``confidence`` *lower* bound on the
-    ``quantile``-quantile of a normal population.
+    ``quantile``-quantile of a normal population (``n`` as in the upper
+    factor).
 
     By symmetry of the normal distribution, a lower bound for the q-quantile
     is the negation of the upper-bound factor for the (1-q)-quantile.

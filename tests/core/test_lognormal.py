@@ -5,13 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from scipy import stats as sps
+
+from repro.core import lognormal
 from repro.core.lognormal import (
     LogNormalPredictor,
     _factor_bucket,
     _factor_buckets,
+    _FactorMemo,
 )
 from repro.core.predictor import BoundKind
-from repro.stats.tolerance import normal_quantile_upper_factor
+from repro.stats.tolerance import (
+    normal_quantile_lower_factor,
+    normal_quantile_upper_factor,
+)
+
+#: Both sides of every decade edge the bucket digit count changes at.
+DECADE_EDGES = [10 ** k + d for k in range(3, 13) for d in (-1, 0, 1)]
 
 
 def feed(predictor, values):
@@ -110,10 +120,7 @@ class TestFactorBucketing:
     def test_vectorized_buckets_match_scalar(self):
         # Every size a replay's kernel can ask for below 10^5, and both
         # sides of every decade edge the digit count changes at.
-        edges = [
-            e + d for k in range(3, 13) for e in (10 ** k,) for d in (-1, 0, 1)
-        ]
-        n = np.concatenate((np.arange(1, 100_001), edges))
+        n = np.concatenate((np.arange(1, 100_001), DECADE_EDGES))
         want = [_factor_bucket(k) for k in n.tolist()]
         assert _factor_buckets(n).tolist() == want
 
@@ -129,6 +136,81 @@ class TestFactorBucketing:
             exact = normal_quantile_upper_factor(n, 0.95, 0.95)
             bucketed = normal_quantile_upper_factor(_factor_bucket(n), 0.95, 0.95)
             assert bucketed == pytest.approx(exact, rel=2e-3)
+
+
+class TestFactorMemo:
+    @pytest.mark.parametrize(
+        "quantile, confidence, kind",
+        [
+            (0.95, 0.95, BoundKind.UPPER),
+            (0.05, 0.95, BoundKind.LOWER),
+            (0.9, 0.8, BoundKind.UPPER),
+        ],
+    )
+    def test_vectorized_fill_matches_scalar_bit_for_bit(
+        self, quantile, confidence, kind
+    ):
+        memo = _FactorMemo(quantile, confidence, kind)
+        memo.prime(100_000)
+        memo.fill(np.unique(_factor_buckets(np.array(DECADE_EDGES))))
+        scalar = (
+            normal_quantile_upper_factor
+            if kind is BoundKind.UPPER
+            else normal_quantile_lower_factor
+        )
+        buckets = sorted(memo._values)
+        want = np.array([scalar(b, quantile, confidence) for b in buckets])
+        got = np.array([memo._values[b] for b in buckets])
+        both_nan = np.isnan(want) & np.isnan(got)
+        assert np.array_equal(
+            got.view(np.int64)[~both_nan], want.view(np.int64)[~both_nan]
+        )
+
+    @pytest.fixture
+    def ppf_calls(self, monkeypatch):
+        calls = []
+        ppf = sps.nct.ppf
+
+        def spy(q, df, nc):
+            calls.append(np.atleast_1d(df) + 1)
+            return ppf(q, df, nc)
+
+        monkeypatch.setattr(sps.nct, "ppf", spy)
+        return calls
+
+    def test_reprime_is_free_and_growth_fills_only_new_buckets(self, ppf_calls):
+        memo = _FactorMemo(0.95, 0.95, BoundKind.UPPER)
+        memo.prime(5_000)
+        assert len(ppf_calls) == 1
+        assert ppf_calls[0].tolist() == np.unique(
+            _factor_buckets(np.arange(2, 5_001))
+        ).tolist()
+        memo.prime(5_000)
+        memo.prime(4_000)
+        assert len(ppf_calls) == 1
+        memo.prime(20_000)
+        assert len(ppf_calls) == 2
+        new = set(_factor_buckets(np.arange(2, 20_001)).tolist()) - set(
+            ppf_calls[0].tolist()
+        )
+        assert sorted(ppf_calls[1].tolist()) == sorted(new)
+
+    def test_scalar_miss_fills_one_bucket(self, ppf_calls, monkeypatch):
+        monkeypatch.setattr(lognormal, "_FACTOR_MEMOS", {})
+        predictor = LogNormalPredictor()
+        value = predictor._factor(123_456)
+        assert predictor._factor(123_499) == value
+        assert [c.tolist() for c in ppf_calls] == [[123_000]]
+        assert value == normal_quantile_upper_factor(123_000, 0.95, 0.95)
+
+    def test_prime_fills_the_memo_refits_read(self, ppf_calls, monkeypatch):
+        monkeypatch.setattr(lognormal, "_FACTOR_MEMOS", {})
+        LogNormalPredictor(trim=True).prime(3_000)
+        assert len(ppf_calls) == 1
+        predictor = LogNormalPredictor()
+        predictor._factors(np.arange(2, 3_001))
+        predictor._factor(2_999)
+        assert len(ppf_calls) == 1
 
 
 class TestCoverage:

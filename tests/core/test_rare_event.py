@@ -1,5 +1,7 @@
 """Tests for the Monte-Carlo rare-event threshold calibration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,16 @@ class TestGaussianAr1:
         series = _gaussian_ar1(200_000, 0.7, rng)
         assert np.std(series) == pytest.approx(1.0, abs=0.02)
 
+    def test_matches_the_recursion_bit_for_bit(self):
+        for rho in (0.0, 0.3, 0.9):
+            series = _gaussian_ar1(5_000, rho, np.random.default_rng(3))
+            innovations = np.random.default_rng(3).standard_normal(5_000)
+            scale = math.sqrt(1.0 - rho * rho)
+            want = [float(innovations[0])]
+            for value in innovations[1:].tolist():
+                want.append(rho * want[-1] + value * scale)
+            assert series.tolist() == want
+
     def test_lag1_autocorrelation_matches(self):
         rng = np.random.default_rng(1)
         for rho in (0.0, 0.4, 0.8):
@@ -75,6 +87,10 @@ class TestTable:
         assert a is b
         regenerated = generate_rare_event_table()
         assert regenerated.thresholds == a.thresholds
+        assert a.thresholds == {
+            0.0: 3, 0.1: 3, 0.2: 3, 0.3: 3, 0.4: 3,
+            0.5: 4, 0.6: 4, 0.7: 5, 0.8: 6, 0.9: 10,
+        }
 
     def test_lookup_floors_to_grid(self):
         table = RareEventTable(

@@ -8,13 +8,16 @@ per-unit cache goes stale if and only if the unit's own data changes.
 """
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from repro import runtime
+from repro.core import rare_event
 from repro.corpus.etl import ingest
 from repro.corpus.fixtures import generate_corpus_fixture
 from repro.corpus.replay import (
@@ -219,6 +222,38 @@ class TestIncrementalCache:
             runtime.reset_configuration()
         assert off["provenance"]["cache"]["enabled"] is False
         assert off["provenance"]["cache"]["hits"] == 0
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="pool workers inherit the parent's memos only when forked",
+)
+class TestParentPrime:
+    def _replay(self, store, jobs, cache_dir):
+        runtime.configure(cache=True, cache_dir=str(cache_dir))
+        try:
+            return replay_store(store, min_queue_jobs=MIN_QUEUE, jobs=jobs)
+        finally:
+            runtime.reset_configuration()
+
+    def test_forked_workers_inherit_the_primed_tables(
+        self, store, tmp_path, monkeypatch
+    ):
+        """After one replay the parent holds every K′ bucket and the
+        rare-event table; a second forked replay must not compute either
+        again, in the parent or in a worker (which fails the replay with a
+        ``WorkerError``)."""
+        self._replay(store, 2, tmp_path / "first")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-process table was rebuilt")
+
+        monkeypatch.setattr(sps.nct, "ppf", refuse)
+        monkeypatch.setattr(rare_event, "generate_rare_event_table", refuse)
+        forked = self._replay(store, 2, tmp_path / "second")
+        assert forked["provenance"]["cache"]["hits"] == 0
+        serial = replay_store(store, min_queue_jobs=MIN_QUEUE, jobs=1, cache=False)
+        assert _strip_volatile(forked) == _strip_volatile(serial)
 
 
 class TestFailureAndProgress:
