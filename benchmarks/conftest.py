@@ -7,9 +7,8 @@ a reproduction check.  Timings use one round (the workloads are multi-second
 replays, not microbenchmarks); the in-process and on-disk caches are
 bypassed in setup so every benchmark measures real work.
 
-All paper-scale benchmarks are marked ``slow`` and excluded from the
-default ``pytest`` run; ``bench_replay_smoke`` stays fast and unmarked.
-Run the full set with ``pytest benchmarks -m slow`` (or ``-m ''``).
+Every benchmark is marked ``slow`` and excluded from the default
+``pytest`` run.  Run the full set with ``pytest benchmarks -m slow`` (or ``-m ''``).
 """
 
 from __future__ import annotations
@@ -19,14 +18,9 @@ import pytest
 from repro import runtime
 from repro.experiments.runner import ExperimentConfig, clear_caches
 
-#: Benchmark modules exempt from the ``slow`` marker (fast smoke checks).
-_FAST_MODULES = {"bench_replay_smoke"}
-
-
 def pytest_collection_modifyitems(items):
     for item in items:
-        if item.module.__name__.rpartition(".")[2] not in _FAST_MODULES:
-            item.add_marker(pytest.mark.slow)
+        item.add_marker(pytest.mark.slow)
 
 
 @pytest.fixture(scope="session")

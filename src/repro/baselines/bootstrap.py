@@ -166,7 +166,7 @@ class BootstrapQuantilePredictor(QuantilePredictor):
             return None
         rank_of = math.ceil
         if self.refit_mode == "recompute":
-            # Legacy materialized bootstrap (the bench-core A/B control):
+            # Legacy materialized bootstrap (the tests' reference path):
             # sort the window, draw all B resample quantiles, sort those.
             window = np.sort(self.history.arrival_view()[-self.max_history:])
             n = window.size

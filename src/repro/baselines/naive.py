@@ -105,8 +105,8 @@ class PointQuantilePredictor(QuantilePredictor):
     ``refit_mode`` selects how the quantile is served: ``"incremental"``
     (default) reads the window's maintained sorted view through a rank
     subscription (bit-identical to sorting, O(new observations) per
-    refit); ``"recompute"`` re-sorts every refit (the benchmarked A/B
-    control); ``"p2"``/``"tdigest"`` stream the estimate through a sketch
+    refit); ``"recompute"`` re-sorts every refit (the tests' reference
+    path); ``"p2"``/``"tdigest"`` stream the estimate through a sketch
     — those variants report themselves as the ``p2-quantile`` and
     ``tdigest-quantile`` bank methods.
     """

@@ -223,7 +223,7 @@ class WeibullPredictor(QuantilePredictor):
 
     def _compute_bound(self) -> Optional[float]:
         if self.refit_mode == "recompute":
-            # Legacy full-recompute refit (the bench-core A/B control):
+            # Legacy full-recompute refit (the tests' reference path):
             # re-derive the logs inside the fit every time.
             values = self.history.arrival_view()
             if values.size < 10:

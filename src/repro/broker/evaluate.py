@@ -39,8 +39,7 @@ import numpy as np
 from repro.broker.broker import RoutingBroker
 from repro.broker.registry import DEFAULT_QUEUE, SiteSpec
 from repro.scheduler.constraints import QueueLimit
-from repro.server.client import ForecastClient, read_port_file
-from repro.server.loadgen import spawn_daemon
+from repro.server.client import ForecastClient, read_port_file, spawn_daemon
 from repro.service.forecaster import ForecasterConfig, QueueForecaster
 from repro.workloads.swf import load_swf, write_swf
 from repro.workloads.trace import Trace

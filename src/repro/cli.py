@@ -12,13 +12,11 @@ Usage::
 
     python -m repro serve --state-dir /var/lib/bmbp     # the live daemon
     python -m repro tail trace.swf.gz --speedup 3600    # feed it a log
-    python -m repro bench-serve --json BENCH_serve.json # load-test it
     python -m repro verify --fast                       # self-verification
 
     python -m repro broker --site a=host1:7077 --site b=host2:7077
     python -m repro route --procs 8 --walltime 3600     # ask the broker
     python -m repro bench-route --sites 3               # routing-regret bench
-    python -m repro bench-core --smoke                  # replay-kernel bench
     python -m repro bench-sched --smoke                 # scheduling-regret bench
 
 Replays fan out over ``--jobs`` worker processes (default: ``BMBP_JOBS``
@@ -90,11 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Live-service subcommands (each with its own --help): "
             "serve (the forecast daemon), tail (feed it an SWF log), "
-            "bench-serve (load-test it), verify (the self-verification "
-            "suite), broker (the multi-site routing broker), route "
-            "(one routing decision), bench-route (the routing-regret "
-            "benchmark), bench-core (the replay-kernel benchmark), "
-            "bench-sched (the closed-loop scheduling benchmark)."
+            "fleet (a sharded daemon fleet), verify (the self-verification "
+            "suite), broker (the multi-site routing broker), route (one "
+            "routing decision), bench-route (the routing-regret benchmark), "
+            "bench-sched (the closed-loop scheduling benchmark), corpus "
+            "(archive-scale trace corpora), archive (registered archive logs)."
         ),
     )
     parser.add_argument(
@@ -131,11 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="bypass the persistent replay cache (neither read nor write)",
     )
-    parser.add_argument(
-        "--bench-json", metavar="PATH", default=None,
-        help="write the BENCH_replay.json perf-trajectory artifact "
-        "(per-experiment wall-clock, cache hits, per-queue timings)",
-    )
     return parser
 
 
@@ -145,15 +138,12 @@ SERVER_COMMANDS = {
     "serve": "run the live forecast daemon",
     "tail": "feed a daemon from an SWF trace file",
     "fleet": "run a sharded, replicated fleet of forecast daemons",
-    "bench-serve": "load-test a daemon and write BENCH_serve.json",
     "verify": "run the self-verification suite and write VERIFY.json",
     "broker": "run the multi-site routing broker daemon",
     "route": "ask where to submit a job (broker daemon or --site specs)",
     "bench-route": "replay K sites, score routing regret, write BENCH_route.json",
-    "bench-core": "benchmark the replay kernel and write BENCH_core.json",
     "bench-sched": "score bound-aware policies vs an oracle, write BENCH_sched.json",
     "corpus": "ingest, inspect, and replay archive-scale trace corpora",
-    "bench-corpus": "benchmark the ETL->store->replay path, write BENCH_corpus.json",
     "archive": "list registered archive logs / verify a downloaded log",
 }
 
@@ -321,108 +311,6 @@ def _tail_main(argv: List[str]) -> int:
         f"{summary['quotes']} quotes"
         + (f", {hit:.1%} held" if hit is not None else "")
     )
-    return 0
-
-
-def build_bench_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bmbp bench-serve", description=SERVER_COMMANDS["bench-serve"]
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=5000, metavar="N",
-        help="synthetic jobs to replay (default %(default)s)",
-    )
-    parser.add_argument(
-        "--connections", type=int, default=8, metavar="N",
-        help="concurrent client connections (default %(default)s)",
-    )
-    parser.add_argument(
-        "--window", type=int, default=64, metavar="N",
-        help="pipeline depth per connection (default %(default)s)",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--processes", type=int, default=1, metavar="N",
-        help="load-generator processes (default %(default)s; one asyncio "
-        "loop saturates a core and under-drives a fleet)",
-    )
-    parser.add_argument(
-        "--sharded", action="store_true",
-        help="also benchmark an N-shard fleet and write a two-section "
-        "artifact (single + sharded aggregate ingest)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=4, metavar="N",
-        help="fleet width for --sharded (default %(default)s)",
-    )
-    parser.add_argument(
-        "--replicate", action="store_true",
-        help="attach a warm follower per shard during --sharded (measures "
-        "ingest with the replication stream attached)",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="shrunk workload for CI (fewer jobs, fewer shards); with "
-        "--sharded, asserts the aggregate-ingest floor "
-        "(BMBP_BENCH_MIN_SHARDED_SPEEDUP, default 4x) on boxes with at "
-        "least one core per benchmark process",
-    )
-    parser.add_argument(
-        "--json", default="BENCH_serve.json", metavar="PATH",
-        help="throughput/latency artifact path (default %(default)s)",
-    )
-    return parser
-
-
-def _bench_serve_main(argv: List[str]) -> int:
-    from repro.server import run_bench
-
-    args = build_bench_serve_parser().parse_args(argv)
-    if args.sharded:
-        from repro.fleet.bench import run_sharded_bench
-
-        report = run_sharded_bench(
-            shards=args.shards, jobs=args.jobs, connections=args.connections,
-            window=args.window, seed=args.seed, replicate=args.replicate,
-            artifact=args.json, smoke=args.smoke,
-        )
-        single = report["single"]
-        sharded = report["sharded"]
-        line = (
-            f"single: {single['events_per_sec']:.0f} ev/s | "
-            f"sharded x{sharded['shards']}: "
-            f"{sharded['events_per_sec']:.0f} ev/s aggregate "
-            f"({sharded['speedup_vs_single']:.2f}x in-run"
-        )
-        if "speedup_vs_committed_baseline" in sharded:
-            line += (
-                f", {sharded['speedup_vs_committed_baseline']:.2f}x vs "
-                f"committed baseline"
-            )
-        print(line + f") on {report['cpu_count']} cpu(s)")
-        floor = report.get("floor")
-        if floor is not None and not floor["enforced"]:
-            print(
-                f"[bmbp] ingest floor skipped: needs >= "
-                f"{floor['required_cores']} cores for an honest ratio, "
-                f"this box has {report['cpu_count']}",
-                file=sys.stderr,
-            )
-        print(f"[bmbp] serve benchmark written to {args.json}", file=sys.stderr)
-        return 0
-    report = run_bench(
-        jobs=args.jobs, connections=args.connections, window=args.window,
-        seed=args.seed, processes=args.processes, artifact=args.json,
-    )
-    latency = report["latency_ms"]
-    print(
-        f"{report['requests']} requests ({report['events']} events) over "
-        f"{report['connections']} connections in {report['seconds']:.2f}s: "
-        f"{report['events_per_sec']:.0f} events/s, "
-        f"p50={latency['p50']:.2f}ms p99={latency['p99']:.2f}ms "
-        f"({report['request_errors']} errors)"
-    )
-    print(f"[bmbp] serve benchmark written to {args.json}", file=sys.stderr)
     return 0
 
 
@@ -802,88 +690,6 @@ def _bench_route_main(argv: List[str]) -> int:
     return 0
 
 
-def build_bench_core_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bmbp bench-core", description=SERVER_COMMANDS["bench-core"]
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI variant: small traces, and assert the floors — batched vs "
-        "reference (BMBP_BENCH_MIN_CORE_SPEEDUP, default 2x) and "
-        "incremental vs recompute refits on the sparse trace "
-        "(BMBP_BENCH_MIN_SPARSE_SPEEDUP, default 1.5x)",
-    )
-    parser.add_argument(
-        "--reps", type=int, default=None, metavar="N",
-        help="repetitions per measurement, best-of (default: 5, smoke: 2)",
-    )
-    parser.add_argument(
-        "--dense-jobs", type=int, default=None, metavar="N",
-        help="jobs in the dense benchmark traces (default: 50000, smoke: 8000)",
-    )
-    parser.add_argument(
-        "--sparse-jobs", type=int, default=None, metavar="N",
-        help="jobs in the sparse benchmark trace (default: 20000, smoke: 4000)",
-    )
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument(
-        "--skip-per-method", action="store_true",
-        help="skip the per-method single-predictor replay matrix",
-    )
-    parser.add_argument(
-        "--json", default="BENCH_core.json", metavar="PATH",
-        help="kernel benchmark artifact path (default %(default)s)",
-    )
-    parser.add_argument(
-        "--refit-json", default="BENCH_refit.json", metavar="PATH",
-        help="refit A/B + microbenchmark artifact path (default %(default)s)",
-    )
-    return parser
-
-
-def _bench_core_main(argv: List[str]) -> int:
-    from repro.runtime.benchcore import run_core_bench
-
-    args = build_bench_core_parser().parse_args(argv)
-    try:
-        report = run_core_bench(
-            smoke=args.smoke,
-            reps=args.reps,
-            dense_jobs=args.dense_jobs,
-            sparse_jobs=args.sparse_jobs,
-            seed=args.seed,
-            artifact=args.json,
-            refit_artifact=args.refit_json,
-            skip_per_method=args.skip_per_method,
-        )
-    except AssertionError as exc:
-        print(f"bench-core: FAILED — {exc}", file=sys.stderr)
-        return 1
-    for label, row in report["bank_replay"].items():
-        engines = row["engines"]
-        print(
-            f"{label}: {row['n_jobs']} jobs x {row['n_methods']} methods — "
-            f"batched {engines['batched']['jobs_per_s']:,.0f} jobs/s, "
-            f"reference {engines['reference']['jobs_per_s']:,.0f} jobs/s "
-            f"({row['speedup']:.2f}x)"
-        )
-    summary = report["summary"]
-    print(
-        f"dense bank speedup: {summary['dense_bank_speedup_min']:.2f}x–"
-        f"{summary['dense_bank_speedup_max']:.2f}x; sparse (refit-bound): "
-        f"{summary['sparse_bank_speedup']:.2f}x"
-    )
-    ab = report["refit_bench"]["sparse_refit_ab"]
-    print(
-        f"sparse refit A/B: incremental {ab['incremental_jobs_per_s']:,.0f} "
-        f"jobs/s vs recompute {ab['recompute_jobs_per_s']:,.0f} jobs/s "
-        f"({ab['speedup']:.2f}x)"
-    )
-    print(f"[bmbp] core benchmark written to {args.json}", file=sys.stderr)
-    print(f"[bmbp] refit benchmark written to {args.refit_json}", file=sys.stderr)
-    return 0
-
-
 def build_bench_sched_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bmbp bench-sched", description=SERVER_COMMANDS["bench-sched"]
@@ -1124,95 +930,6 @@ def _corpus_main(argv: List[str]) -> int:
     raise AssertionError(f"unhandled corpus verb {args.verb!r}")
 
 
-def build_bench_corpus_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bmbp bench-corpus", description=SERVER_COMMANDS["bench-corpus"]
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI variant: one small synthetic site; assert the ingest floor "
-        "(BMBP_BENCH_MIN_CORPUS_INGEST, default 20000 rows/s) and per-queue "
-        "(0.95, 0.95) coverage",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=4, metavar="N",
-        help="largest worker-count arm in the scaling section (arms are "
-        "1/2/4 clipped to N; default %(default)s)",
-    )
-    parser.add_argument(
-        "--site-jobs", type=int, default=None, metavar="N",
-        help="override jobs per synthetic site (default: 650k+400k, "
-        "smoke: 60k)",
-    )
-    parser.add_argument("--epoch", type=float, default=300.0)
-    parser.add_argument(
-        "--workdir", default=None, metavar="DIR",
-        help="keep fixtures and stores here instead of a temp directory",
-    )
-    parser.add_argument(
-        "--json", default="BENCH_corpus.json", metavar="PATH",
-        help="benchmark artifact path (default %(default)s)",
-    )
-    return parser
-
-
-def _bench_corpus_main(argv: List[str]) -> int:
-    from repro.corpus.replay import run_corpus_bench
-
-    args = build_bench_corpus_parser().parse_args(argv)
-    try:
-        report = run_corpus_bench(
-            smoke=args.smoke, site_jobs=args.site_jobs, epoch=args.epoch,
-            workdir=args.workdir, keep=args.workdir is not None,
-            artifact=args.json, max_workers=args.jobs,
-        )
-    except AssertionError as exc:
-        print(f"bench-corpus: FAILED — {exc}", file=sys.stderr)
-        return 1
-    for site in report["sites"]:
-        ing, st, rep = site["ingest"], site["store"], site["replay"]
-        print(
-            f"{site['site']}: ingest {ing['read']:,} rows at "
-            f"{ing['rows_per_s']:,.0f} rows/s; store "
-            f"{st['store_bytes']:,} B ({st['store_vs_raw']:.2f}x raw); "
-            f"replay {rep['jobs_replayed']:,} jobs at "
-            f"{rep['jobs_per_s']:,.0f} jobs/s"
-        )
-        for queue in sorted(rep["queues"]):
-            cov = rep["queues"][queue].get("coverage")
-            if cov:
-                print(
-                    f"  {queue}: coverage {cov['fraction']:.4f} "
-                    f"[{cov['wilson_low']:.4f}, {cov['wilson_high']:.4f}] "
-                    f"{'PASS' if cov['passed'] else 'FAIL'}"
-                )
-    scaling = report.get("scaling", {})
-    for row in scaling.get("rows", []):
-        print(
-            f"scaling: jobs={row['jobs']} {row['seconds']:.2f}s "
-            f"({row['jobs_per_s']:,.0f} jobs/s, "
-            f"{row['speedup_vs_serial']:.2f}x serial)"
-        )
-    cached = scaling.get("cached")
-    if cached:
-        frac = cached.get("fraction_of_serial")
-        print(
-            f"scaling: cached re-replay {cached['seconds']:.2f}s"
-            + (f" ({frac:.1%} of cold serial)" if frac is not None else "")
-            + f", {cached['hits']} hit / {cached['misses']} miss"
-        )
-    summary = report["summary"]
-    print(
-        f"total: {summary['jobs_replayed']:,} jobs replayed at "
-        f"{summary['replay_jobs_per_s']:,.0f} jobs/s; ingest "
-        f"{summary['ingest_rows_per_s']:,.0f} rows/s; coverage "
-        f"{'PASS' if summary['coverage_pass'] else 'FAIL'}; parallel "
-        f"{'identical' if summary['parallel_identical_to_serial'] else 'DIVERGED'}"
-    )
-    print(f"[bmbp] corpus benchmark written to {args.json}", file=sys.stderr)
-    return 0
-
-
 def build_archive_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bmbp archive", description=SERVER_COMMANDS["archive"]
@@ -1267,15 +984,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             "serve": _serve_main,
             "tail": _tail_main,
             "fleet": _fleet_main,
-            "bench-serve": _bench_serve_main,
             "verify": _verify_main,
             "broker": _broker_main,
             "route": _route_main,
             "bench-route": _bench_route_main,
-            "bench-core": _bench_core_main,
             "bench-sched": _bench_sched_main,
             "corpus": _corpus_main,
-            "bench-corpus": _bench_corpus_main,
             "archive": _archive_main,
         }
         return dispatch[argv[0]](list(argv[1:]))
@@ -1295,7 +1009,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     failed: List[str] = []
-    bench_runs = []
+    total = 0.0
     for i, name in enumerate(names):
         if i:
             print()
@@ -1311,27 +1025,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             traceback.print_exc()
             continue
         elapsed = time.perf_counter() - started
+        total += elapsed
         print(output)
         delta = runtime.stats().since(before)
         print(
             f"[bmbp] {name}: {elapsed:.2f}s ({delta.summary()} jobs={jobs})",
             file=sys.stderr,
         )
-        bench_runs.append(
-            runtime.bench_run_entry(name, delta, jobs=jobs, seconds=elapsed)
-        )
 
     if args.experiment == "all":
-        total = sum(run["seconds"] for run in bench_runs)
         print(
-            f"[bmbp] all: {len(bench_runs)}/{len(names)} experiments ok, "
+            f"[bmbp] all: {len(names) - len(failed)}/{len(names)} experiments ok, "
             f"{total:.2f}s total"
             + (f", FAILED: {', '.join(failed)}" if failed else ""),
             file=sys.stderr,
         )
-    if args.bench_json is not None:
-        path = runtime.write_bench_artifact(args.bench_json, bench_runs)
-        print(f"[bmbp] perf trajectory written to {path}", file=sys.stderr)
     if failed:
         return 1
 

@@ -55,7 +55,7 @@ class BMBPPredictor(QuantilePredictor):
         window's incrementally maintained sorted view via a rank
         subscription — bit-identical to a full re-select, O(new
         observations) per refit.  ``"recompute"`` re-sorts the window every
-        refit (the legacy path, kept as the benchmarked A/B control).
+        refit (the legacy path, kept as the tests' reference).
         ``"p2"``/``"tdigest"`` serve the bound rank's probability from a
         streaming sketch — O(1) per refit, approximate by contract.
     """
@@ -152,7 +152,7 @@ class BMBPPredictor(QuantilePredictor):
                 return None
             return self._sketch.quantile(min(1.0 - 1e-12, rank / n))
         if self.refit_mode == "recompute":
-            # Legacy full-recompute refit (the bench-core A/B control):
+            # Legacy full-recompute refit (the tests' reference path):
             # re-sort the window and select.
             rank = self._bound_rank(n)
             if rank is None:

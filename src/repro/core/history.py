@@ -66,16 +66,14 @@ _SCALAR_MERGE_MAX = 8
 
 #: ``_flush`` merges incrementally while the pending batch is smaller than
 #: ``sorted_size // _MERGE_CROSSOVER_DENOM`` and re-sorts wholesale above
-#: it.  Derived from the ``history_flush`` microbenchmark in
-#: ``BENCH_refit.json`` (see ``bmbp bench-core``): the in-place merge
-#: cost crosses the wholesale ``np.sort`` cost at a batch of roughly
-#: 1/32 of the sorted size — into 20 000 merged values, a 625-value
-#: batch measures ~128 µs either way, while at 1/8 the merge is already
-#: ~2× slower (312 µs vs 152 µs; ``np.sort`` on nearly-sorted input is
-#: cheap, so the resort side grows much flatter than intuition
-#: suggests).  The microbenchmark brackets the crossover from both
-#: sides, so a regression in either path moves a measured number, not
-#: just this constant.
+#: it.  Measured by the ``history_flush`` microbenchmark that the retired
+#: ``bmbp bench-core`` verb ran (its ``BENCH_refit.json`` is in git
+#: history at commit 1247272): the in-place merge cost crosses the
+#: wholesale ``np.sort`` cost at a batch of roughly 1/32 of the sorted
+#: size — into 20 000 merged values, a 625-value batch measures ~128 µs
+#: either way, while at 1/8 the merge is already ~2× slower (312 µs vs
+#: 152 µs; ``np.sort`` on nearly-sorted input is cheap, so the resort
+#: side grows much flatter than intuition suggests).
 _MERGE_CROSSOVER_DENOM = 32
 
 
@@ -435,7 +433,7 @@ class HistoryWindow:
         if pending > self._sorted_n // _MERGE_CROSSOVER_DENOM and pending > _SCALAR_MERGE_MAX:
             # Large batch relative to the sorted view: one wholesale sort
             # of the window is cheaper than merging (measured crossover —
-            # see the history_flush microbenchmark in ``bmbp bench-core``).
+            # see ``_MERGE_CROSSOVER_DENOM``).
             self._adopt_sorted(np.sort(window))
             self._evicted.clear()
             self._presorted = None

@@ -51,10 +51,11 @@ __all__ = [
 
 #: Exact refit strategies every predictor supports: ``"incremental"`` (the
 #: default — maintained windows, running sums, memoized log caches) and
-#: ``"recompute"`` (the legacy full-recompute paths, kept as the A/B
-#: control the ``bmbp bench-core`` sparse-regime assertion measures
-#: against).  Both produce the same bounds — incremental order statistics
-#: bit-identically, running sums to floating-point roundoff.
+#: ``"recompute"`` (the legacy full-recompute paths, kept as the
+#: reference the engine-identity and statistical test suites compare the
+#: incremental paths against).  Both produce the same bounds — incremental
+#: order statistics bit-identically, running sums to floating-point
+#: roundoff.
 REFIT_MODES = ("incremental", "recompute")
 
 #: Approximate refit strategies backed by :mod:`repro.core.sketch`; only

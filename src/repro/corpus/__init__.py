@@ -8,8 +8,8 @@ Layers (see ``docs/corpus.md``):
 * :mod:`repro.corpus.store` — one memmap'd column directory per site,
   zero-copy loads, time/queue slicing, a ``Trace``-compatible view;
 * :mod:`repro.corpus.replay` — million-job replays through the
-  epoch-batched kernel and the method bank, per-queue (0.95, 0.95)
-  coverage, and the ``bmbp bench-corpus`` benchmark;
+  epoch-batched kernel and the method bank, and per-queue (0.95, 0.95)
+  coverage;
 * :mod:`repro.corpus.fixtures` — deterministic archive-shaped synthetic
   SWF logs so CI exercises the full path without committing real logs.
 """
@@ -20,7 +20,7 @@ from repro.corpus.fixtures import (
     FixtureSummary,
     generate_corpus_fixture,
 )
-from repro.corpus.replay import replay_store, run_corpus_bench
+from repro.corpus.replay import replay_store
 from repro.corpus.store import (
     COLUMNS,
     STORE_SCHEMA,
@@ -44,5 +44,4 @@ __all__ = [
     "generate_corpus_fixture",
     "ingest",
     "replay_store",
-    "run_corpus_bench",
 ]

@@ -43,74 +43,27 @@ recomputes only the dirty units; everything else is served from the
 persistent :class:`~repro.runtime.cache.DiskCache` in milliseconds.
 Hit/miss counts and a per-unit timing ledger land in the report's
 ``provenance`` section.
-
-:func:`run_corpus_bench` is the ``bmbp bench-corpus`` entry point.  It
-generates archive-shaped fixtures (real logs are not committed), then
-measures the full path end to end: streaming ingest, store size, a
-serial-vs-parallel scaling section (jobs/s per worker count, straggler
-breakdown, cache-hit replay time), and the per-site (0.95, 0.95)
-coverage tables.  Smoke mode (CI) shrinks the fixture and enforces the
-``BMBP_BENCH_MIN_CORPUS_INGEST`` floor plus coverage passes; the
-parallel-speedup floor (``BMBP_BENCH_MIN_CORPUS_PARALLEL_SPEEDUP``) is
-enforced only on multi-core runners.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.corpus import fixtures as fixtures_mod
-from repro.corpus.etl import ingest
-from repro.corpus.store import CorpusError, CorpusStore, CorpusView
+from repro.corpus.store import CorpusStore, CorpusView
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "MIN_CORPUS_INGEST",
-    "MIN_PARALLEL_SPEEDUP",
-    "MAX_CACHED_FRACTION",
     "DEFAULT_SPLIT_THRESHOLD",
     "ReplayUnit",
     "plan_units",
     "progress_printer",
     "replay_store",
-    "run_corpus_bench",
 ]
-
-BENCH_SCHEMA = "bmbp-bench-corpus/2"
-
-#: CI floor on streaming ingest throughput (rows/s); override with the
-#: BMBP_BENCH_MIN_CORPUS_INGEST environment variable.
-MIN_CORPUS_INGEST = float(os.environ.get("BMBP_BENCH_MIN_CORPUS_INGEST", "20000"))
-
-#: Smoke-mode floor on the best parallel arm's speedup over the serial
-#: replay.  Enforced only when the runner actually has >= 2 cores (a
-#: 1-core box cannot demonstrate a speedup, only record the attempt);
-#: CI sets a tighter value explicitly.
-MIN_PARALLEL_SPEEDUP = float(
-    os.environ.get("BMBP_BENCH_MIN_CORPUS_PARALLEL_SPEEDUP", "1.0")
-)
-
-#: Ceiling on cached-replay time as a fraction of the cold serial time.
-#: Enforced only when the serial replay is long enough for the ratio to
-#: be meaningful (sub-second replays measure constant overheads, not
-#: cache performance).
-MAX_CACHED_FRACTION = float(
-    os.environ.get("BMBP_BENCH_MAX_CORPUS_CACHED_FRACTION", "0.10")
-)
-
-#: Serial replay time (seconds) below which the cached-fraction gate is
-#: recorded but not enforced.
-_CACHED_GATE_MIN_SERIAL_S = 2.0
 
 #: Queues smaller than this are skipped in store replays (mirrors the
 #: paper's minimum-cell rule, scaled for archive-size logs).
@@ -121,16 +74,6 @@ DEFAULT_MIN_QUEUE_JOBS = 1000
 #: unit (keeping their rows identical to the pre-chunking harness), low
 #: enough that a single dominant queue cannot serialize a fan-out.
 DEFAULT_SPLIT_THRESHOLD = 150_000
-
-_BENCH_SITES_FULL = (
-    ("syn-par", 650_000, 20260808),
-    ("syn-sp2", 400_000, 20260809),
-)
-_BENCH_SITES_SMOKE = (("syn-smoke", 60_000, 20260808),)
-
-#: Worker-count arms measured by the bench scaling section (1 = the
-#: serial oracle and the cold-cache populating run).
-_BENCH_WORKER_ARMS = (1, 2, 4)
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +182,6 @@ def _replay_unit_compute(
     epoch: float,
     methods: Optional[Tuple[str, ...]],
     engine: Optional[str],
-    refit_mode: str,
     record_series: bool,
     chunked: bool,
 ) -> Dict[str, Any]:
@@ -258,7 +200,7 @@ def _replay_unit_compute(
     elif action == "raise":
         raise RuntimeError("injected corpus.replay.unit fault")
 
-    bank = conformance.make_bank(refit_mode)
+    bank = conformance.make_bank()
     if methods:
         bank = {m: bank[m] for m in methods}
     config = _unit_config(warmup, epoch, record_series)
@@ -291,7 +233,6 @@ def _replay_unit_task(
     epoch: float,
     methods: Optional[Tuple[str, ...]],
     engine: Optional[str],
-    refit_mode: str,
     record_series: bool,
     chunked: bool,
 ) -> Dict[str, Any]:
@@ -310,7 +251,6 @@ def _replay_unit_task(
         epoch=epoch,
         methods=methods,
         engine=engine,
-        refit_mode=refit_mode,
         record_series=record_series,
         chunked=chunked,
     )
@@ -412,7 +352,6 @@ def replay_store(
     methods: Optional[Sequence[str]] = None,
     min_queue_jobs: int = DEFAULT_MIN_QUEUE_JOBS,
     engine: Optional[str] = None,
-    refit_mode: str = "incremental",
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
     split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
@@ -429,7 +368,7 @@ def replay_store(
                          coverage: {quantile, confidence, evaluated,
                                     correct, fraction, wilson_low,
                                     wilson_high, passed}}},
-         provenance: {jobs, cpu_count, engine, refit_mode, split_threshold,
+         provenance: {jobs, cpu_count, engine, split_threshold,
                       cache: {enabled, hits, misses},
                       store: {path, rows, column_sha256},
                       units: [{unit, queue, chunk, rows, warmup, seconds,
@@ -455,7 +394,7 @@ def replay_store(
     is_store = isinstance(store, CorpusStore)
     view = store.view() if is_store else store
     site = getattr(store, "site", view.name)
-    bank = conformance.make_bank(refit_mode)
+    bank = conformance.make_bank()
     methods_tuple: Optional[Tuple[str, ...]] = None
     if methods:
         known = sorted(bank)
@@ -504,7 +443,6 @@ def replay_store(
             "epoch": epoch,
             "methods": list(methods_tuple) if methods_tuple else None,
             "engine": resolved_engine,
-            "refit_mode": refit_mode,
             "record_series": record_series,
         }
         tasks = []
@@ -513,7 +451,7 @@ def replay_store(
             tasks.append(Task(
                 func=_replay_unit_task,
                 args=(store_path, unit.queue, unit.lo, unit.hi, unit.warmup,
-                      epoch, methods_tuple, resolved_engine, refit_mode,
+                      epoch, methods_tuple, resolved_engine,
                       record_series, unit.n_chunks > 1),
                 label=unit.label,
                 cache_key=corpus_unit_key(
@@ -544,7 +482,6 @@ def replay_store(
                 epoch=epoch,
                 methods=methods_tuple,
                 engine=resolved_engine,
-                refit_mode=refit_mode,
                 record_series=record_series,
                 chunked=unit.n_chunks > 1,
             ))
@@ -583,7 +520,6 @@ def replay_store(
         "jobs": resolve_jobs(jobs) if is_store else 1,
         "cpu_count": os.cpu_count(),
         "engine": resolved_engine,
-        "refit_mode": refit_mode,
         "split_threshold": split_threshold,
         "cache": {
             "enabled": bool(cache_enabled),
@@ -615,11 +551,6 @@ def replay_store(
     return report
 
 
-# --------------------------------------------------------------------------
-# Benchmark driver.
-# --------------------------------------------------------------------------
-
-
 def _strip_volatile(report: Dict[str, Any]) -> Dict[str, Any]:
     """The deterministic core of a replay report (identity comparisons)."""
     return {
@@ -631,265 +562,3 @@ def _strip_volatile(report: Dict[str, Any]) -> Dict[str, Any]:
         "coverage_pass": report["coverage_pass"],
     }
 
-
-def _bench_site(
-    workdir: Path,
-    name: str,
-    jobs: int,
-    seed: int,
-    *,
-    epoch: float,
-    min_queue_jobs: int,
-    split_threshold: int,
-    worker_arms: Sequence[int],
-) -> Dict[str, Any]:
-    """Generate -> ingest -> replay one synthetic site; return its rows."""
-    log_path = workdir / f"{name}.swf.gz"
-    t0 = time.perf_counter()
-    summary = fixtures_mod.generate_corpus_fixture(log_path, jobs=jobs, seed=seed)
-    generate_s = time.perf_counter() - t0
-
-    store_path = workdir / name
-    store, stats = ingest(log_path, store_path, site=name, force=True)
-    raw_bytes = log_path.stat().st_size
-    store_bytes = store.nbytes()
-
-    common = dict(
-        epoch=epoch, min_queue_jobs=min_queue_jobs,
-        split_threshold=split_threshold,
-    )
-    # Serial oracle first: cold compute, cache writes on (this is the
-    # run that populates the per-unit cache for the cached arm below).
-    serial_report = replay_store(store, jobs=1, cache=True, **common)
-    serial_s = serial_report["seconds"]
-    serial_core = _strip_volatile(serial_report)
-
-    arms: List[Dict[str, Any]] = [{
-        "jobs": 1,
-        "seconds": serial_s,
-        "jobs_per_s": serial_report["jobs_per_s"],
-        "speedup_vs_serial": 1.0,
-        "identical_to_serial": True,
-    }]
-    for workers in worker_arms:
-        if workers <= 1:
-            continue
-        # Cache off: these arms measure parallel compute, not lookups.
-        par = replay_store(store, jobs=workers, cache=False, **common)
-        identical = _strip_volatile(par) == serial_core
-        arms.append({
-            "jobs": workers,
-            "seconds": par["seconds"],
-            "jobs_per_s": par["jobs_per_s"],
-            "speedup_vs_serial": round(serial_s / par["seconds"], 3)
-            if par["seconds"] > 0 else None,
-            "identical_to_serial": identical,
-        })
-
-    cached_report = replay_store(store, jobs=1, cache=True, **common)
-    cached = {
-        "seconds": cached_report["seconds"],
-        "fraction_of_serial": round(cached_report["seconds"] / serial_s, 4)
-        if serial_s > 0 else None,
-        "hits": cached_report["provenance"]["cache"]["hits"],
-        "misses": cached_report["provenance"]["cache"]["misses"],
-        "identical_to_serial": _strip_volatile(cached_report) == serial_core,
-    }
-
-    ledger = serial_report["provenance"]["units"]
-    timed = [u for u in ledger if u["seconds"] is not None]
-    timed.sort(key=lambda u: -u["seconds"])
-    stragglers = [
-        {
-            **{k: u[k] for k in ("unit", "queue", "chunk", "rows", "seconds")},
-            "share": round(u["seconds"] / serial_s, 3) if serial_s > 0 else None,
-        }
-        for u in timed[:5]
-    ]
-
-    return {
-        "site": name,
-        "fixture": {
-            "jobs": summary.jobs,
-            "records": summary.records,
-            "anomalies": summary.anomalies,
-            "seed": seed,
-            "generate_seconds": round(generate_s, 3),
-        },
-        "ingest": stats.as_dict(),
-        "store": {
-            "rows": store.rows,
-            "raw_bytes": raw_bytes,
-            "store_bytes": store_bytes,
-            "bytes_per_row": round(store_bytes / max(store.rows, 1), 2),
-            "store_vs_raw": round(store_bytes / max(raw_bytes, 1), 3),
-            "column_sha256": store.column_sha256(),
-        },
-        "replay": serial_report,
-        "scaling": {
-            "arms": arms,
-            "cached": cached,
-            "stragglers": stragglers,
-            "units": len(ledger),
-        },
-    }
-
-
-def run_corpus_bench(
-    *,
-    smoke: bool = False,
-    site_jobs: Optional[int] = None,
-    epoch: float = 300.0,
-    workdir: Optional[Union[str, Path]] = None,
-    keep: bool = False,
-    artifact: Optional[Union[str, Path]] = "BENCH_corpus.json",
-    max_workers: int = 4,
-    split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
-) -> Dict[str, Any]:
-    """The ``bmbp bench-corpus`` driver.
-
-    Full mode replays >= 1M jobs across two synthetic sites through the
-    full bank; smoke mode runs one small site and enforces the ingest
-    floor and per-queue coverage.  Every mode measures the scaling
-    section: one serial arm, parallel arms up to ``max_workers``, and a
-    fully-cached re-replay, each proven bit-identical to the serial
-    oracle.  Writes ``artifact`` (unless None) and returns the report.
-    """
-    from repro import runtime
-
-    sites = list(_BENCH_SITES_SMOKE if smoke else _BENCH_SITES_FULL)
-    if site_jobs is not None:
-        sites = [(name, site_jobs, seed) for name, _, seed in sites]
-    own_workdir = workdir is None
-    workdir = Path(workdir) if workdir else Path(
-        tempfile.mkdtemp(prefix="bmbp-bench-corpus-")
-    )
-    workdir.mkdir(parents=True, exist_ok=True)
-    min_queue = 200 if smoke else DEFAULT_MIN_QUEUE_JOBS
-    worker_arms = [w for w in _BENCH_WORKER_ARMS if w <= max(int(max_workers), 1)]
-    report: Dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "smoke": smoke,
-        "created_unix": time.time(),
-        "cpu_count": os.cpu_count(),
-        "config": {
-            "epoch": epoch,
-            "min_queue_jobs": min_queue,
-            "split_threshold": split_threshold,
-            "worker_arms": worker_arms,
-            "sites": [{"site": n, "jobs": j, "seed": s} for n, j, s in sites],
-        },
-        "sites": [],
-    }
-    # The bench owns its cache: a private directory under the workdir so
-    # hit/miss counts measure this run, not whatever a developer box had.
-    runtime.configure(cache=True, cache_dir=str(workdir / "cache"))
-    try:
-        for name, njobs, seed in sites:
-            report["sites"].append(_bench_site(
-                workdir, name, njobs, seed,
-                epoch=epoch, min_queue_jobs=min_queue,
-                split_threshold=split_threshold,
-                worker_arms=worker_arms,
-            ))
-    finally:
-        runtime.reset_configuration()
-        if own_workdir and not keep:
-            shutil.rmtree(workdir, ignore_errors=True)
-
-    total_replayed = sum(s["replay"]["jobs_replayed"] for s in report["sites"])
-    total_replay_s = sum(s["replay"]["seconds"] for s in report["sites"])
-    total_read = sum(s["ingest"]["read"] for s in report["sites"])
-    total_ingest_s = sum(s["ingest"]["seconds"] for s in report["sites"])
-
-    arm_totals: Dict[int, float] = {}
-    for site in report["sites"]:
-        for arm in site["scaling"]["arms"]:
-            arm_totals[arm["jobs"]] = arm_totals.get(arm["jobs"], 0.0) + arm["seconds"]
-    serial_total = arm_totals.get(1, 0.0)
-    scaling_rows = [
-        {
-            "jobs": workers,
-            "seconds": round(seconds, 3),
-            "jobs_per_s": round(total_replayed / seconds, 1) if seconds else 0.0,
-            "speedup_vs_serial": round(serial_total / seconds, 3)
-            if seconds else None,
-        }
-        for workers, seconds in sorted(arm_totals.items())
-    ]
-    cached_total = sum(s["scaling"]["cached"]["seconds"] for s in report["sites"])
-    cache_hits = sum(s["scaling"]["cached"]["hits"] for s in report["sites"])
-    cache_misses = sum(s["scaling"]["cached"]["misses"] for s in report["sites"])
-    parallel_identical = all(
-        arm["identical_to_serial"]
-        for s in report["sites"] for arm in s["scaling"]["arms"]
-    ) and all(
-        s["scaling"]["cached"]["identical_to_serial"] for s in report["sites"]
-    )
-    best_speedup = max(
-        (row["speedup_vs_serial"] for row in scaling_rows
-         if row["jobs"] > 1 and row["speedup_vs_serial"] is not None),
-        default=None,
-    )
-    report["scaling"] = {
-        "rows": scaling_rows,
-        "best_parallel_speedup": best_speedup,
-        "cached": {
-            "seconds": round(cached_total, 3),
-            "fraction_of_serial": round(cached_total / serial_total, 4)
-            if serial_total else None,
-            "hits": cache_hits,
-            "misses": cache_misses,
-        },
-        "parallel_identical_to_serial": parallel_identical,
-    }
-    report["summary"] = {
-        "jobs_replayed": total_replayed,
-        "replay_jobs_per_s": round(total_replayed / total_replay_s, 1)
-        if total_replay_s else 0.0,
-        "ingest_rows_per_s": round(total_read / total_ingest_s, 1)
-        if total_ingest_s else 0.0,
-        "coverage_pass": all(
-            s["replay"]["coverage_pass"] for s in report["sites"]
-        ),
-        "parallel_identical_to_serial": parallel_identical,
-    }
-
-    if artifact:
-        Path(artifact).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-
-    assert parallel_identical, (
-        "parallel or cached replay rows diverged from the serial oracle; "
-        "see the per-site scaling sections in the artifact"
-    )
-    ingest_rate = report["summary"]["ingest_rows_per_s"]
-    assert ingest_rate >= MIN_CORPUS_INGEST, (
-        f"corpus ingest {ingest_rate:.0f} rows/s is below the floor "
-        f"{MIN_CORPUS_INGEST:.0f}; override with BMBP_BENCH_MIN_CORPUS_INGEST"
-    )
-    assert report["summary"]["coverage_pass"], (
-        "per-queue (0.95, 0.95) coverage failed on a synthetic site; "
-        "see the per-site coverage tables in the artifact"
-    )
-    cores = os.cpu_count() or 1
-    if smoke and cores >= 2 and best_speedup is not None:
-        assert best_speedup >= MIN_PARALLEL_SPEEDUP, (
-            f"best parallel arm is {best_speedup:.2f}x serial on a "
-            f"{cores}-core box, below the floor {MIN_PARALLEL_SPEEDUP:.2f}; "
-            f"override with BMBP_BENCH_MIN_CORPUS_PARALLEL_SPEEDUP"
-        )
-    cached_fraction = report["scaling"]["cached"]["fraction_of_serial"]
-    if serial_total >= _CACHED_GATE_MIN_SERIAL_S and cached_fraction is not None:
-        assert cached_fraction <= MAX_CACHED_FRACTION, (
-            f"fully-cached re-replay took {cached_fraction:.1%} of the cold "
-            f"serial time (ceiling {MAX_CACHED_FRACTION:.0%}); override with "
-            f"BMBP_BENCH_MAX_CORPUS_CACHED_FRACTION"
-        )
-    if not smoke:
-        assert total_replayed >= 1_000_000, (
-            f"full bench replayed only {total_replayed} jobs; the 1M-job "
-            f"scale claim requires >= 1,000,000 (pass --site-jobs to raise)"
-        )
-    return report

@@ -19,8 +19,6 @@ Pieces:
   queue hash, remembers job→shard, fans out when it must.
 * :mod:`repro.fleet.router` — a single-endpoint asyncio proxy for
   clients that do not speak the shard map.
-* :mod:`repro.fleet.bench` — the ``bench-serve --sharded`` aggregate
-  ingest benchmark (fleet vs in-run single-process baseline).
 """
 
 from repro.fleet.client import FleetClient

@@ -11,8 +11,7 @@ to get wrong.  What it does guarantee:
   the shard's endpoint to it (``primary_port`` always answers mutations);
 * ``stop()`` tears everything down even after kills and promotions.
 
-Used by ``bmbp fleet``, the ``--sharded`` benchmark, the fault
-scenarios, and the fleet smoke test.
+Used by ``bmbp fleet``, the fault scenarios, and the fleet smoke test.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.fleet.topology import FleetTopology
-from repro.server.client import ForecastClient
-from repro.server.loadgen import spawn_daemon
+from repro.server.client import ForecastClient, spawn_daemon
 
 __all__ = ["FleetManager", "ShardMember"]
 

@@ -1,10 +1,9 @@
-"""Execution runtime: parallel replay engine, persistent cache, timing.
+"""Execution runtime: parallel replay engine and persistent cache.
 
 This package is the layer between the experiment definitions
 (:mod:`repro.experiments`) and the hardware: it decides how many worker
-processes replay the paper's machine/queue traces, serves previously
-computed replay results from a versioned on-disk cache, and records the
-per-queue wall-clock timings behind the ``BENCH_replay.json`` artifact.
+processes replay the paper's machine/queue traces and serves previously
+computed replay results from a versioned on-disk cache.
 """
 
 from repro.runtime.cache import CACHE_VERSION, DiskCache, canonical_key, default_cache_dir
@@ -21,17 +20,14 @@ from repro.runtime.engine import (
     run_tasks,
     stats,
 )
-from repro.runtime.timing import BENCH_SCHEMA, bench_run_entry, write_bench_artifact
 
 __all__ = [
-    "BENCH_SCHEMA",
     "CACHE_VERSION",
     "DiskCache",
     "EngineStats",
     "Task",
     "TaskTiming",
     "WorkerError",
-    "bench_run_entry",
     "canonical_key",
     "clear_disk_cache",
     "configure",
@@ -41,5 +37,4 @@ __all__ = [
     "resolve_jobs",
     "run_tasks",
     "stats",
-    "write_bench_artifact",
 ]

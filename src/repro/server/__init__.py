@@ -15,28 +15,27 @@ batch system, stdlib-only (asyncio; no new runtime dependencies):
   ``kill -9`` between checkpoints loses nothing that was acknowledged.
 * :mod:`metrics` — request/latency/loop-lag/durability metrics, served
   as JSON (``metrics`` op) and Prometheus text (``GET /metrics``).
-* :mod:`client` — synchronous client library with reconnect + backoff.
+* :mod:`client` — synchronous client library with reconnect + backoff,
+  and :func:`~repro.server.client.spawn_daemon` to start a real daemon
+  subprocess.
 * :mod:`tail` — feed a daemon from an SWF trace file at any speedup
   (``repro tail``).
-* :mod:`loadgen` — high-concurrency load generator and the
-  ``BENCH_serve.json`` artifact (``repro bench-serve``).
 """
 
-from repro.server.client import ForecastClient, ServerError, TransportError, read_port_file
-from repro.server.daemon import ForecastServer, ServerConfig, serve
-from repro.server.loadgen import (
-    BENCH_SERVE_SCHEMA,
-    run_bench,
-    run_load,
+from repro.server.client import (
+    ForecastClient,
+    ServerError,
+    TransportError,
+    read_port_file,
     spawn_daemon,
 )
+from repro.server.daemon import ForecastServer, ServerConfig, serve
 from repro.server.metrics import LatencyHistogram, ServerMetrics
 from repro.server.protocol import ProtocolError
 from repro.server.state import StateError, StateStore, apply_event
 from repro.server.tail import tail_swf, tail_trace
 
 __all__ = [
-    "BENCH_SERVE_SCHEMA",
     "ForecastClient",
     "ForecastServer",
     "LatencyHistogram",
@@ -49,8 +48,6 @@ __all__ = [
     "TransportError",
     "apply_event",
     "read_port_file",
-    "run_bench",
-    "run_load",
     "serve",
     "spawn_daemon",
     "tail_swf",

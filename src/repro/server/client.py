@@ -29,14 +29,23 @@ pass between events.
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.server.daemon import PORT_FILE_NAME
 
-__all__ = ["ForecastClient", "ServerError", "TransportError", "read_port_file"]
+__all__ = [
+    "ForecastClient",
+    "ServerError",
+    "TransportError",
+    "read_port_file",
+    "spawn_daemon",
+]
 
 
 class ServerError(Exception):
@@ -71,6 +80,45 @@ def read_port_file(
             pass
         time.sleep(0.02)
     raise TransportError(f"no port file appeared in {state_dir} within {timeout}s")
+
+
+def spawn_daemon(
+    state_dir: Union[str, Path],
+    host: str = "127.0.0.1",
+    extra_args: Optional[List[str]] = None,
+    checkpoint_interval: float = 30.0,
+    env: Optional[Dict[str, str]] = None,
+) -> "subprocess.Popen[bytes]":
+    """Start a real ``repro serve`` subprocess on an ephemeral port.
+
+    The caller discovers the port with :func:`read_port_file` and is
+    responsible for terminating the process.  ``env`` entries are merged
+    over the inherited environment (how the fault-injection scenarios pass
+    ``BMBP_FAULTS`` schedules to the daemon).  Used by the broker
+    evaluation, the fleet manager, the smoke test, and the crash-recovery
+    tests.
+    """
+    # A previous daemon's port file would be read as the new port before
+    # the new process binds; make sure discovery waits for the fresh one.
+    try:
+        (Path(state_dir) / PORT_FILE_NAME).unlink()
+    except OSError:
+        pass
+    args = [
+        sys.executable, "-m", "repro", "serve",
+        "--host", host, "--port", "0",
+        "--state-dir", str(state_dir),
+        "--checkpoint-interval", str(checkpoint_interval),
+    ]
+    args.extend(extra_args or [])
+    merged_env = None
+    if env:
+        merged_env = dict(os.environ)
+        merged_env.update(env)
+    return subprocess.Popen(
+        args, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=merged_env,
+    )
 
 
 class ForecastClient:

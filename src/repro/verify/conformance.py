@@ -386,9 +386,9 @@ def check_detects_undercoverage(tier: TierParams) -> Tuple[bool, Dict[str, Any]]
 #: Every comparison method the experiments use, for the record-only sweep
 #: and the 9-method headline bank.  Each factory accepts keyword options
 #: forwarded to the predictor — ``refit_mode="recompute"`` builds the
-#: legacy full-recompute variant the ``bmbp bench-core`` sparse-regime A/B
-#: measures against (methods whose refit was already O(1) before the mode
-#: split accept and ignore it).
+#: legacy full-recompute variant the test suites use as the reference for
+#: the incremental refits (methods whose refit was already O(1) before
+#: the mode split accept and ignore it).
 _BASELINE_FACTORIES: Dict[str, Callable[..., Any]] = {
     "bmbp": lambda **kw: BMBPPredictor(QUANTILE, CONFIDENCE, **kw),
     "logn-trim": lambda **kw: LogNormalPredictor(QUANTILE, CONFIDENCE, trim=True, **kw),
@@ -404,8 +404,8 @@ _BASELINE_FACTORIES: Dict[str, Callable[..., Any]] = {
 #: The streaming-sketch bank methods (``core/sketch.py``): the empirical
 #: q-quantile served from a P²/t-digest sketch instead of the exact order
 #: statistic.  Kept out of ``_BASELINE_FACTORIES`` so the headline
-#: 9-method bank stays comparable across commits; the per-method bench
-#: matrix and the conformance sweep cover them explicitly.  These methods
+#: 9-method bank stays comparable across commits; the sketch tests and
+#: the conformance sweep cover them explicitly.  These methods
 #: are approximate by contract — they are NOT subject to the paper's
 #: (0.95, 0.95) exactness claim (see the sketch-quantile-accuracy check
 #: and ``docs/verification.md``).
@@ -423,8 +423,8 @@ def make_bank(refit_mode: str = "incremental") -> Dict[str, Any]:
     """The 9-method headline bank, every method built in ``refit_mode``.
 
     ``"incremental"`` (default) is the production configuration;
-    ``"recompute"`` rebuilds the legacy full-recompute bank used as the
-    bench-core A/B control for the incremental refit engine.
+    ``"recompute"`` rebuilds the legacy full-recompute bank the tests use
+    as the reference for the incremental refit engine.
     """
     return {
         name: factory(refit_mode=refit_mode)

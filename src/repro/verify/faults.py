@@ -239,7 +239,7 @@ def _daemon_env(faults_spec: Optional[str]) -> Dict[str, str]:
 
 def _spawn(state_dir: Path, faults_spec: Optional[str] = None) -> subprocess.Popen:
     """Start a scenario daemon (optionally faulty) on an ephemeral port."""
-    from repro.server.loadgen import spawn_daemon
+    from repro.server.client import spawn_daemon
 
     return spawn_daemon(
         state_dir,

@@ -1,10 +1,10 @@
-"""Tests for the corpus replay harness and bench driver."""
+"""Tests for the corpus replay harness."""
 
 import pytest
 
 from repro.corpus.etl import ingest
 from repro.corpus.fixtures import generate_corpus_fixture
-from repro.corpus.replay import replay_store, run_corpus_bench
+from repro.corpus.replay import replay_store
 
 
 @pytest.fixture(scope="module")
@@ -63,42 +63,3 @@ class TestReplayStore:
         )
         assert report["rows"] == 8000
 
-
-class TestBench:
-    def test_smoke_bench_writes_artifact(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            "repro.corpus.replay._BENCH_SITES_SMOKE",
-            (("syn-tiny", 6000, 20260808),),
-        )
-        # The parallel-speedup floor is a wall-clock ratio: on a 6 000-job
-        # site the pool's fixed cost rivals the serial replay, so the ratio
-        # hangs on the host's load, not on the code.  The floor stays in
-        # ``run_corpus_bench`` and in the CI bench-corpus job (pinned at
-        # 1.2x there); this test checks the artifact's deterministic content.
-        monkeypatch.setattr("repro.corpus.replay.MIN_PARALLEL_SPEEDUP", 0.0)
-        artifact = tmp_path / "BENCH_corpus.json"
-        report = run_corpus_bench(
-            smoke=True, workdir=tmp_path / "work", artifact=artifact
-        )
-        assert artifact.exists()
-        assert report["schema"] == "bmbp-bench-corpus/2"
-        assert report["smoke"] is True
-        assert len(report["sites"]) == 1
-        site = report["sites"][0]
-        assert site["ingest"]["kept"] == 6000
-        assert site["store"]["rows"] == 6000
-        assert report["summary"]["coverage_pass"]
-        assert report["summary"]["ingest_rows_per_s"] > 0
-        # Scaling section: serial + parallel arms, cached re-run, identity.
-        scaling = report["scaling"]
-        arm_jobs = [row["jobs"] for row in scaling["rows"]]
-        assert arm_jobs[0] == 1 and len(arm_jobs) > 1
-        assert scaling["parallel_identical_to_serial"]
-        cached = scaling["cached"]
-        assert cached["misses"] == 0 and cached["hits"] > 0
-        assert report["cpu_count"] >= 1
-        site_scaling = site["scaling"]
-        assert all(arm["identical_to_serial"] for arm in site_scaling["arms"])
-        assert site_scaling["stragglers"], "straggler breakdown missing"
-        top = site_scaling["stragglers"][0]
-        assert {"unit", "queue", "rows", "seconds", "share"} <= set(top)

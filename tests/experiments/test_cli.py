@@ -1,9 +1,19 @@
 """Tests for the command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import runtime
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, SERVER_COMMANDS, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: Fenced code blocks, inline code spans, and a CLI invocation inside one.
+_FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+_SPAN = re.compile(r"`([^`]+)`")
+_VERB = re.compile(r"(?:\bpython3? -m repro|\bbmbp)\s+([a-z][\w-]*)")
 
 
 @pytest.fixture(autouse=True)
@@ -43,21 +53,39 @@ class TestParser:
 
     def test_engine_flags(self):
         args = build_parser().parse_args(
-            ["table3", "--jobs", "4", "--no-cache", "--bench-json", "b.json"]
+            ["table3", "--jobs", "4", "--no-cache"]
         )
         assert args.jobs == 4
         assert args.no_cache is True
-        assert args.bench_json == "b.json"
 
     def test_engine_flag_defaults(self):
         args = build_parser().parse_args(["table3"])
         assert args.jobs is None
         assert args.no_cache is False
-        assert args.bench_json is None
 
     def test_clear_cache_is_a_choice(self):
         args = build_parser().parse_args(["clear-cache"])
         assert args.experiment == "clear-cache"
+
+
+def test_docs_name_only_real_verbs():
+    """Every ``python -m repro <verb>`` / ``bmbp <verb>`` in the docs' code
+    exists: a server subcommand or one of the experiment parser's choices."""
+    experiment = next(a for a in build_parser()._actions if a.dest == "experiment")
+    verbs = set(SERVER_COMMANDS) | set(experiment.choices)
+    docs = [ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "DESIGN.md",
+            *sorted((ROOT / "docs").glob("*.md"))]
+    mentions, unknown = 0, []
+    for doc in docs:
+        text = doc.read_text()
+        code = _FENCE.findall(text) + _SPAN.findall(_FENCE.sub("", text))
+        for chunk in code:
+            for verb in _VERB.findall(chunk):
+                mentions += 1
+                if verb not in verbs:
+                    unknown.append(f"{doc.relative_to(ROOT)}: {verb}")
+    assert mentions > 50, "the scan found too few CLI mentions to mean anything"
+    assert not unknown, unknown
 
 
 class TestMain:
@@ -91,16 +119,6 @@ class TestMain:
     def test_jobs_flag_configures_engine(self):
         main(["table1", "--scale", "0.01", "--jobs", "3"])
         assert runtime.resolve_jobs() == 3
-
-    def test_bench_json_artifact(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_replay.json"
-        code = main(["table1", "--scale", "0.01", "--bench-json", str(path)])
-        assert code == 0
-        import json
-
-        document = json.loads(path.read_text())
-        assert document["schema"] == runtime.BENCH_SCHEMA
-        assert [run["name"] for run in document["runs"]] == ["table1"]
 
     def test_clear_cache_command(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BMBP_CACHE_DIR", str(tmp_path / "cache"))
