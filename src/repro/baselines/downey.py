@@ -41,11 +41,7 @@ class DowneyLogUniformPredictor(QuantilePredictor):
         trim_length: Optional[int] = None,
         rare_event_table=None,
         shift: float = DEFAULT_LOG_SHIFT,
-        refit_mode: str = "incremental",
     ):
-        # ``refit_mode`` is accepted for bank-builder uniformity; the
-        # running-extremes refit predates the mode split and is identical
-        # (and O(1)) either way.
         super().__init__(
             quantile=quantile,
             confidence=confidence,
@@ -53,7 +49,6 @@ class DowneyLogUniformPredictor(QuantilePredictor):
             trim=trim,
             trim_length=trim_length,
             rare_event_table=rare_event_table,
-            refit_mode=refit_mode,
         )
         if shift <= 0.0:
             raise ValueError(f"log shift must be positive, got {shift}")

@@ -43,12 +43,9 @@ class MaxObservedPredictor(QuantilePredictor):
     name = "max-observed"
 
     def __init__(self, quantile: float = 0.95, confidence: float = 0.95,
-                 kind: BoundKind = BoundKind.UPPER, trim: bool = False,
-                 refit_mode: str = "incremental"):
-        # ``refit_mode`` accepted for bank-builder uniformity; the running
-        # extreme is identical (and O(1)) in both exact modes.
+                 kind: BoundKind = BoundKind.UPPER, trim: bool = False):
         super().__init__(quantile=quantile, confidence=confidence, kind=kind,
-                         trim=trim, refit_mode=refit_mode)
+                         trim=trim)
         self._extreme: Optional[float] = None
 
     def observe(self, wait: float, predicted: Optional[float] = None) -> None:

@@ -45,8 +45,8 @@ from typing import Any, Deque, Dict, Optional, Set, Tuple
 from repro.broker.breaker import CLOSED, CircuitBreaker
 from repro.broker.cache import ForecastCache
 from repro.broker.registry import SiteSpec
+from repro.runtime import faults
 from repro.server.metrics import BrokerMetrics
-from repro.verify import faults
 
 __all__ = ["Backend", "BackendError", "ConnectionPool", "SiteQuote"]
 

@@ -198,11 +198,7 @@ class LogNormalPredictor(QuantilePredictor):
         trim_length: Optional[int] = None,
         rare_event_table=None,
         shift: float = DEFAULT_LOG_SHIFT,
-        refit_mode: str = "incremental",
     ):
-        # ``refit_mode`` is accepted for bank-builder uniformity; the
-        # running log-sums predate the mode split and keep both exact
-        # modes O(1) per refit, identically.
         super().__init__(
             quantile=quantile,
             confidence=confidence,
@@ -210,7 +206,6 @@ class LogNormalPredictor(QuantilePredictor):
             trim=trim,
             trim_length=trim_length,
             rare_event_table=rare_event_table,
-            refit_mode=refit_mode,
         )
         if shift <= 0.0:
             raise ValueError(f"log shift must be positive, got {shift}")

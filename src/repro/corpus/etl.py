@@ -49,7 +49,7 @@ from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
-from repro.verify import faults
+from repro.runtime import faults
 from repro.workloads.bins import bin_index
 from repro.workloads.swf import SWF_FIELD_COUNT
 from repro.corpus.store import ColumnWriter, CorpusError, CorpusStore

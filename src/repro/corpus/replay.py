@@ -191,8 +191,9 @@ def _replay_unit_compute(
     the parent can merge medians across chunks; whole-queue units fold
     the median locally and stay compact.
     """
+    from repro.core.bank import HEADLINE, make_bank
+    from repro.runtime import faults
     from repro.simulator.replay import replay
-    from repro.verify import conformance, faults
 
     action = faults.fire("corpus.replay.unit")
     if action == "die":
@@ -200,11 +201,8 @@ def _replay_unit_compute(
     elif action == "raise":
         raise RuntimeError("injected corpus.replay.unit fault")
 
-    bank = conformance.make_bank()
-    if methods:
-        bank = {m: bank[m] for m in methods}
     config = _unit_config(warmup, epoch, record_series)
-    results = replay(qview, bank, config, engine=engine)
+    results = replay(qview, make_bank(methods or HEADLINE), config, engine=engine)
     row: Dict[str, Any] = {"methods": {}}
     for name in sorted(results):
         res = results[name]
@@ -271,7 +269,8 @@ def _merge_queue_rows(
     series arrays, so the merged medians and series are identical no
     matter which worker finished first.
     """
-    from repro.verify import conformance
+    from repro.core.bank import CONFIDENCE, QUANTILE
+    from repro.stats.proportion import wilson_interval
 
     unit_rows = sorted(unit_rows, key=lambda pair: pair[0].lo)
     first_unit = unit_rows[0][0]
@@ -308,18 +307,18 @@ def _merge_queue_rows(
         qrep["methods"][name] = entry
     bmbp = qrep["methods"].get("bmbp")
     if bmbp is not None and bmbp["evaluated"]:
-        low, high = conformance.wilson_interval(
-            bmbp["correct"], bmbp["evaluated"], conformance.CONFIDENCE
+        low, high = wilson_interval(
+            bmbp["correct"], bmbp["evaluated"], CONFIDENCE
         )
         qrep["coverage"] = {
-            "quantile": conformance.QUANTILE,
-            "confidence": conformance.CONFIDENCE,
+            "quantile": QUANTILE,
+            "confidence": CONFIDENCE,
             "evaluated": bmbp["evaluated"],
             "correct": bmbp["correct"],
             "fraction": round(bmbp["correct"] / bmbp["evaluated"], 5),
             "wilson_low": round(low, 5),
             "wilson_high": round(high, 5),
-            "passed": high >= conformance.QUANTILE,
+            "passed": high >= QUANTILE,
         }
     return qrep
 
@@ -386,22 +385,20 @@ def replay_store(
     no path for workers to re-open nor manifest to key on.
     """
     from repro import runtime
+    from repro.core.bank import HEADLINE, make_bank
     from repro.runtime.cache import corpus_unit_key
     from repro.runtime.engine import Task, resolve_jobs
     from repro.simulator.replay import _resolve_engine
-    from repro.verify import conformance
 
     is_store = isinstance(store, CorpusStore)
     view = store.view() if is_store else store
     site = getattr(store, "site", view.name)
-    bank = conformance.make_bank()
     methods_tuple: Optional[Tuple[str, ...]] = None
     if methods:
-        known = sorted(bank)
-        unknown = [m for m in methods if m not in known]
+        unknown = [m for m in methods if m not in HEADLINE]
         if unknown:
             raise KeyError(
-                f"unknown method(s) {unknown}; bank has {known}"
+                f"unknown method(s) {unknown}; bank has {sorted(HEADLINE)}"
             )
         methods_tuple = tuple(sorted(methods))
     resolved_engine = _resolve_engine(engine)
@@ -430,8 +427,8 @@ def replay_store(
     # fan-out forks.
     if units:
         longest = max(unit.cost for unit in units)
-        for name in methods_tuple or bank:
-            bank[name].prime(longest)
+        for predictor in make_bank(methods_tuple or HEADLINE).values():
+            predictor.prime(longest)
 
     if is_store:
         store_path = str(store.path)

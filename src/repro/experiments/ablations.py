@@ -28,16 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.baselines import (
-    BootstrapQuantilePredictor,
-    DowneyLogUniformPredictor,
-    MaxObservedPredictor,
-    MeanWaitPredictor,
-    PointQuantilePredictor,
-    WeibullPredictor,
-)
+from repro.core.bank import make_bank
 from repro.core.bmbp import BMBPPredictor
-from repro.core.lognormal import LogNormalPredictor
 from repro.experiments.report import render_table
 from repro.experiments.runner import ExperimentConfig, trace_for
 from repro.runtime import Task, run_tasks
@@ -131,16 +123,11 @@ def _ablate_baselines(config: ExperimentConfig) -> List[AblationRow]:
     # A strongly nonstationary queue: the no-margin and no-adaptation
     # baselines have to show their weaknesses somewhere they matter.
     trace = trace_for(spec_for("datastar", "normal"), config)
-    q, c = config.quantile, config.confidence
-    predictors = {
-        "bmbp": BMBPPredictor(quantile=q, confidence=c),
-        "point-quantile": PointQuantilePredictor(quantile=q, confidence=c),
-        "bootstrap": BootstrapQuantilePredictor(quantile=q, confidence=c),
-        "downey-loguniform": DowneyLogUniformPredictor(quantile=q, confidence=c),
-        "weibull": WeibullPredictor(quantile=q, confidence=c),
-        "max-observed": MaxObservedPredictor(quantile=q, confidence=c),
-        "mean-wait": MeanWaitPredictor(quantile=q, confidence=c),
-    }
+    predictors = make_bank(
+        ("bmbp", "point-quantile", "bootstrap", "downey", "weibull",
+         "max-observed", "mean-wait"),
+        config.quantile, config.confidence,
+    )
     return _rows("baselines", replay(trace, predictors, config.replay))
 
 
@@ -171,12 +158,10 @@ def _ablate_scheduler_substrate(config: ExperimentConfig) -> List[AblationRow]:
             trace_name=name,
         )
         predictors = {
-            f"{name}/bmbp": BMBPPredictor(
-                quantile=config.quantile, confidence=config.confidence
-            ),
-            f"{name}/logn-notrim": LogNormalPredictor(
-                quantile=config.quantile, confidence=config.confidence, trim=False
-            ),
+            f"{name}/{method}": predictor
+            for method, predictor in make_bank(
+                ("bmbp", "logn-notrim"), config.quantile, config.confidence
+            ).items()
         }
         rows.extend(
             _rows("scheduler-substrate", replay(trace, predictors, config.replay))

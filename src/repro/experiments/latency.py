@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.bmbp import BMBPPredictor
-from repro.core.lognormal import LogNormalPredictor
 from repro.core.predictor import QuantilePredictor
 from repro.experiments.report import render_table
-from repro.experiments.runner import ExperimentConfig
+from repro.experiments.runner import ExperimentConfig, make_predictors
 
 __all__ = ["LatencyRow", "run_latency"]
 
@@ -57,17 +55,8 @@ def run_latency(
     config = config or ExperimentConfig()
     rng = np.random.default_rng(config.seed)
     waits = rng.lognormal(mean=6.0, sigma=2.0, size=n_cycles)
-    methods: Dict[str, QuantilePredictor] = {
-        "bmbp": BMBPPredictor(quantile=config.quantile, confidence=config.confidence),
-        "logn-notrim": LogNormalPredictor(
-            quantile=config.quantile, confidence=config.confidence, trim=False
-        ),
-        "logn-trim": LogNormalPredictor(
-            quantile=config.quantile, confidence=config.confidence, trim=True
-        ),
-    }
     rows = []
-    for name, predictor in methods.items():
+    for name, predictor in make_predictors(config).items():
         mean_us = _time_predictor(predictor, waits)
         rows.append(LatencyRow(method=name, n_cycles=n_cycles, mean_us=mean_us))
     return rows

@@ -30,6 +30,7 @@ from repro.runtime import Task, run_tasks
 from repro.simulator.replay import replay
 from repro.simulator.results import ReplayResult
 from repro.workloads.bins import PROC_BINS, bin_label, partition_by_bin
+from repro.workloads.generator import _job_count
 from repro.workloads.spec import QueueSpec, spec_for
 
 __all__ = [
@@ -77,6 +78,16 @@ def bin_cells_work(
     return cells
 
 
+def _prime(specs: List[QueueSpec], config: ExperimentConfig) -> None:
+    """Fill the per-process K′ and rare-event tables before a pool forks,
+    so workers inherit them instead of rebuilding them per task (as
+    ``corpus.replay_store`` does)."""
+    if specs:
+        longest = max(_job_count(config.generator, spec) for spec in specs)
+        for predictor in runner.make_predictors(config).values():
+            predictor.prime(longest)
+
+
 def run_queue_batch(
     specs: List[QueueSpec],
     config: Optional[ExperimentConfig] = None,
@@ -106,6 +117,7 @@ def run_queue_batch(
             )
         )
         positions.append(i)
+    _prime([specs[i] for i in positions], config)
     for i, value in zip(positions, run_tasks(tasks, jobs=jobs)):
         spec = specs[i]
         runner.store_queue_result(spec.machine, spec.queue, config, value)
@@ -120,6 +132,7 @@ def run_bin_batch(
 ) -> List[Dict[str, Optional[Dict[str, ReplayResult]]]]:
     """Per-bin replays for many queues; one work item per queue."""
     config = config or ExperimentConfig()
+    _prime(specs, config)
     tasks = [
         Task(
             func=bin_cells_work,

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.bmbp import BMBPPredictor
-from repro.core.lognormal import LogNormalPredictor
-from repro.core.predictor import BoundKind, QuantilePredictor
+from repro.core.bank import make_bank
+from repro.core.predictor import QuantilePredictor
 from repro.simulator.replay import ReplayConfig, replay
 from repro.simulator.results import ReplayResult
 from repro.workloads.generator import GeneratorConfig, generate_queue_trace
@@ -92,28 +91,9 @@ def trace_for(spec: QueueSpec, config: ExperimentConfig) -> Trace:
     return _TRACE_CACHE[key]
 
 
-def make_predictors(
-    config: ExperimentConfig,
-    kind: BoundKind = BoundKind.UPPER,
-) -> Dict[str, QuantilePredictor]:
-    """Fresh instances of the paper's three methods."""
-    return {
-        "bmbp": BMBPPredictor(
-            quantile=config.quantile, confidence=config.confidence, kind=kind
-        ),
-        "logn-notrim": LogNormalPredictor(
-            quantile=config.quantile,
-            confidence=config.confidence,
-            kind=kind,
-            trim=False,
-        ),
-        "logn-trim": LogNormalPredictor(
-            quantile=config.quantile,
-            confidence=config.confidence,
-            kind=kind,
-            trim=True,
-        ),
-    }
+def make_predictors(config: ExperimentConfig) -> Dict[str, QuantilePredictor]:
+    """Fresh instances of the paper's three methods, in ``METHOD_ORDER``."""
+    return make_bank(METHOD_ORDER, config.quantile, config.confidence)
 
 
 def cached_queue_result(

@@ -38,7 +38,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Optional, Tuple
 
-from repro.verify import faults
+from repro.runtime import faults
 
 __all__ = [
     "CACHE_VERSION",

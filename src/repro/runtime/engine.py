@@ -37,8 +37,8 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+from repro.runtime import faults
 from repro.runtime.cache import DiskCache, cache_enabled_from_env, canonical_key
-from repro.verify import faults
 
 __all__ = [
     "EngineStats",

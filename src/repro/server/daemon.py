@@ -59,11 +59,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
+from repro.runtime import faults
 from repro.server import protocol
 from repro.server.metrics import ServerMetrics
 from repro.server.state import DEFAULT_SEGMENT_BYTES, StateStore, apply_event
 from repro.service.forecaster import ForecasterConfig, QueueForecaster
-from repro.verify import faults
 
 __all__ = ["PORT_FILE_NAME", "ServerConfig", "ForecastServer", "serve"]
 

@@ -53,8 +53,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.runtime import faults
 from repro.service.forecaster import ForecasterConfig, QueueForecaster
-from repro.verify import faults
 
 __all__ = ["StateError", "StateStore", "apply_event"]
 

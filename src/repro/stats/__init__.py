@@ -2,8 +2,8 @@
 
 This subpackage contains the low-level statistical machinery the predictors
 are built on: descriptive statistics, autocorrelation estimation, parametric
-distribution fits (log-normal, log-uniform), normal tolerance factors, and
-order-statistic helpers.
+distribution fits (log-normal, log-uniform), normal tolerance factors,
+order-statistic helpers, and the Wilson interval coverage is scored by.
 """
 
 from repro.stats.autocorrelation import (
@@ -28,6 +28,7 @@ from repro.stats.order_stats import (
     quantile_index,
     rank_of_value,
 )
+from repro.stats.proportion import wilson_interval
 from repro.stats.weibull import WeibullDistribution, fit_weibull
 from repro.stats.tolerance import (
     minimum_sample_size_normal,
@@ -55,4 +56,5 @@ __all__ = [
     "summarize",
     "WeibullDistribution",
     "fit_weibull",
+    "wilson_interval",
 ]

@@ -7,22 +7,13 @@ The repo's other tests check formulas; this package checks the *claims*:
   on i.i.d. log-normal, AR(1)-correlated, and regime-shift workloads.
 * :mod:`golden` — pinned bound sequences for small SWF traces; any
   numerical drift in ``core``/``stats`` fails with a first-divergence diff.
-* :mod:`faults` — deterministic fault injection (``BMBP_FAULTS``) plus
-  crash-recovery scenarios for the daemon, engine, and cache.
+* :mod:`faults` — crash-recovery scenarios for the daemon, engine, and
+  cache, driven through the ``BMBP_FAULTS`` hooks of
+  :mod:`repro.runtime.faults`.
 * :mod:`runner` — the ``bmbp verify`` CLI: tiered suites and the
   machine-readable ``VERIFY.json`` report.
 
-``faults`` is imported by production hook sites on hot paths, so this
-package must stay import-light: submodules load lazily (PEP 562) and
-``faults`` itself is stdlib-only.
+Every method these checks build comes from the one registry,
+:mod:`repro.core.bank`.  Production code does not import this package;
+only the CLI's ``verify`` verb does.
 """
-
-import importlib
-
-__all__ = ["conformance", "faults", "golden", "runner"]
-
-
-def __getattr__(name):
-    if name in __all__:
-        return importlib.import_module(f"repro.verify.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

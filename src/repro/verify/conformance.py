@@ -45,18 +45,15 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines import (
-    BootstrapQuantilePredictor,
-    DowneyLogUniformPredictor,
-    MaxObservedPredictor,
-    MeanWaitPredictor,
-    PointQuantilePredictor,
-    WeibullPredictor,
-)
+from repro.baselines import PointQuantilePredictor
+# make_bank, QUANTILE, CONFIDENCE and wilson_interval stay importable from
+# here: perfbench's traced runs and serve checks use them under these names.
+from repro.core.bank import CONFIDENCE, HEADLINE, QUANTILE, SKETCHES, make_bank
 from repro.core.bmbp import BMBPPredictor
 from repro.core.lognormal import LogNormalPredictor
 from repro.simulator.replay import ReplayConfig, replay_single
 from repro.stats.distributions import DEFAULT_LOG_SHIFT
+from repro.stats.proportion import wilson_interval
 from repro.workloads.trace import Job, Trace
 
 __all__ = [
@@ -71,10 +68,6 @@ __all__ = [
     "static_coverage",
     "wilson_interval",
 ]
-
-#: Target guarantee under test (the paper's headline setting).
-QUANTILE = 0.95
-CONFIDENCE = 0.95
 
 #: Log-normal parameters for the synthetic wait distributions: median
 #: wait e^4 ~ 55 s with a heavy tail, roughly the paper's trace regime.
@@ -103,33 +96,6 @@ TIERS: Dict[str, TierParams] = {
     # Paper-scale: tighter Wilson intervals, longer traces.
     "full": TierParams(trials=2000, sample_size=150, replays=16, replay_jobs=3000),
 }
-
-
-# ------------------------------------------------------------------ statistics
-
-def wilson_interval(
-    successes: int, trials: int, confidence: float = 0.95
-) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
-
-    The standard interval for coverage experiments: unlike the Wald
-    interval it never collapses to zero width at p-hat = 1, which is the
-    regime BMBP's over-coverage lives in.
-    """
-    if trials <= 0:
-        raise ValueError("wilson_interval needs at least one trial")
-    if not 0 <= successes <= trials:
-        raise ValueError(f"successes {successes} outside [0, {trials}]")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2.0 * trials)) / denom
-    half = (
-        z
-        * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
-        / denom
-    )
-    return max(0.0, center - half), min(1.0, center + half)
 
 
 # ------------------------------------------------------------------ generators
@@ -383,55 +349,6 @@ def check_detects_undercoverage(tier: TierParams) -> Tuple[bool, Dict[str, Any]]
     )
 
 
-#: Every comparison method the experiments use, for the record-only sweep
-#: and the 9-method headline bank.  Each factory accepts keyword options
-#: forwarded to the predictor — ``refit_mode="recompute"`` builds the
-#: legacy full-recompute variant the test suites use as the reference for
-#: the incremental refits (methods whose refit was already O(1) before
-#: the mode split accept and ignore it).
-_BASELINE_FACTORIES: Dict[str, Callable[..., Any]] = {
-    "bmbp": lambda **kw: BMBPPredictor(QUANTILE, CONFIDENCE, **kw),
-    "logn-trim": lambda **kw: LogNormalPredictor(QUANTILE, CONFIDENCE, trim=True, **kw),
-    "logn-notrim": lambda **kw: LogNormalPredictor(QUANTILE, CONFIDENCE, trim=False, **kw),
-    "bootstrap": lambda **kw: BootstrapQuantilePredictor(QUANTILE, CONFIDENCE, **kw),
-    "downey": lambda **kw: DowneyLogUniformPredictor(QUANTILE, CONFIDENCE, **kw),
-    "weibull": lambda **kw: WeibullPredictor(QUANTILE, CONFIDENCE, **kw),
-    "max-observed": lambda **kw: MaxObservedPredictor(QUANTILE, CONFIDENCE, **kw),
-    "mean-wait": lambda **kw: MeanWaitPredictor(QUANTILE, CONFIDENCE, **kw),
-    "point-quantile": lambda **kw: PointQuantilePredictor(QUANTILE, CONFIDENCE, **kw),
-}
-
-#: The streaming-sketch bank methods (``core/sketch.py``): the empirical
-#: q-quantile served from a P²/t-digest sketch instead of the exact order
-#: statistic.  Kept out of ``_BASELINE_FACTORIES`` so the headline
-#: 9-method bank stays comparable across commits; the sketch tests and
-#: the conformance sweep cover them explicitly.  These methods
-#: are approximate by contract — they are NOT subject to the paper's
-#: (0.95, 0.95) exactness claim (see the sketch-quantile-accuracy check
-#: and ``docs/verification.md``).
-_SKETCH_FACTORIES: Dict[str, Callable[..., Any]] = {
-    "p2-quantile": lambda: PointQuantilePredictor(
-        QUANTILE, CONFIDENCE, refit_mode="p2"
-    ),
-    "tdigest-quantile": lambda: PointQuantilePredictor(
-        QUANTILE, CONFIDENCE, refit_mode="tdigest"
-    ),
-}
-
-
-def make_bank(refit_mode: str = "incremental") -> Dict[str, Any]:
-    """The 9-method headline bank, every method built in ``refit_mode``.
-
-    ``"incremental"`` (default) is the production configuration;
-    ``"recompute"`` rebuilds the legacy full-recompute bank the tests use
-    as the reference for the incremental refit engine.
-    """
-    return {
-        name: factory(refit_mode=refit_mode)
-        for name, factory in _BASELINE_FACTORIES.items()
-    }
-
-
 def check_baseline_sweep(tier: TierParams) -> Tuple[bool, Dict[str, Any]]:
     """Replay every method over one AR(1) trace; record, don't judge.
 
@@ -450,9 +367,8 @@ def check_baseline_sweep(tier: TierParams) -> Tuple[bool, Dict[str, Any]]:
     trace = Trace(jobs=jobs, name="baseline-sweep")
     fractions: Dict[str, float] = {}
     passed = True
-    sweep = {**_BASELINE_FACTORIES, **_SKETCH_FACTORIES}
-    for name, factory in sweep.items():
-        result = replay_single(trace, factory(), ReplayConfig(epoch=300.0))
+    for name, predictor in make_bank(HEADLINE + SKETCHES).items():
+        result = replay_single(trace, predictor, ReplayConfig(epoch=300.0))
         fractions[name] = round(result.fraction_correct, 4)
         if result.n_evaluated == 0:
             passed = False
@@ -488,12 +404,12 @@ def check_sketch_quantile_accuracy(tier: TierParams) -> Tuple[bool, Dict[str, An
     """
     details: Dict[str, Any] = {"trials": tier.trials, "sample_size": tier.sample_size}
     passed = True
-    for name, factory in _SKETCH_FACTORIES.items():
+    for name in SKETCHES:
         worst = total = 0.0
         for trial in range(tier.trials):
             rng = np.random.default_rng([tier.seed, 7, trial])
             waits = iid_lognormal_waits(rng, tier.sample_size)
-            sketched = factory()
+            sketched = make_bank((name,))[name]
             sketched.preload_history(waits)
             sketched.refit()
             rank = max(1, math.ceil(waits.size * QUANTILE))

@@ -1,215 +1,36 @@
-"""Deterministic fault injection and crash-recovery scenarios.
+"""Crash-recovery scenarios driven by the fault-injection hooks.
 
 The daemon's durability story (journal + checkpoint, PR 2) was verified by
 *incidental* failure tests — a SIGKILL landed wherever the test happened to
 be.  This module makes failure *systematic*: named hook sites in the
-production code consult a seeded fault plan, and a scheduled fault fires at
-an exact, reproducible point in the event stream (the 41st journal append,
-the 2nd worker task, the 1st checkpoint rename).
+production code consult a seeded fault plan (:mod:`repro.runtime.faults`,
+which documents the sites and their actions), and a scheduled fault fires
+at an exact, reproducible point in the event stream (the 41st journal
+append, the 2nd worker task, the 1st checkpoint rename).
 
-Two halves:
-
-* **Machinery** — :class:`FaultPlan` parses a schedule spec, counts hits
-  per site, and tells a hook which action (if any) to perform.  The plan
-  loads from the ``BMBP_FAULTS`` environment variable at import time, so a
-  daemon subprocess spawned with that variable set is born faulty; tests
-  running in-process use :func:`install`/:func:`reset`.
-* **Scenarios** — drivers that run a full workload against an injected
-  fault and assert the recovery invariants: bit-identical bounds after a
-  crash-restart, at-least-once client semantics, graceful engine
-  degradation, corrupt-cache recompute.  ``bmbp verify`` runs these.
-
-Schedule spec format (documented in ``docs/verification.md``)::
-
-    site:action@N[,site:action@N...]
-
-meaning "on the N-th hit of ``site`` (1-based), perform ``action``".
-Hook sites and their actions:
-
-==================  ==========================================================
-site                actions
-==================  ==========================================================
-journal.write       ``torn`` (write half the line, crash), ``crash`` (write
-                    and flush the full line, then crash before the ack)
-checkpoint.replace  ``crash-before`` (temp file written, crash before
-                    ``os.replace``), ``crash-after`` (crash after the rename,
-                    before the journal truncation)
-daemon.mutation     ``drop`` (apply + journal the mutation, then reset the
-                    connection instead of acknowledging)
-engine.worker       ``die`` (``os._exit`` — only inside a pool worker
-                    process), ``raise`` (raise inside the task)
-cache.put           ``corrupt`` (scribble over the entry file just written)
-broker.request      ``drop`` (abort the in-flight backend connection
-                    mid-fan-out, as if the remote daemon crashed)
-replication.apply   ``halt`` (a follower stops consuming its replication
-                    stream — lag grows; promotion must catch up from the
-                    primary's on-disk journal instead)
-journal.compact     ``crash`` (crash between checkpoint rename and segment
-                    deletion: redundant segments must be skipped on replay)
-corpus.ingest       ``crash`` (``os._exit`` after a column chunk flush,
-                    mid-ETL), ``raise`` (raise at the same point)
-corpus.finalize     ``crash``/``crash-before`` (manifest written in the temp
-                    directory, crash before the atomic ``os.replace``),
-                    ``raise``
-corpus.finalize.after  ``crash`` (crash immediately after the rename: the
-                    store must already be complete and valid)
-corpus.replay.unit  ``die`` (``os._exit`` at the start of a replay work
-                    unit — in a pool worker *and* in the serial fallback,
-                    so an injected worker death can never be silently
-                    absorbed), ``raise`` (raise at the same point)
-==================  ==========================================================
-
-Injected crashes exit with :data:`CRASH_EXIT_CODE` so a scenario can prove
-the fault actually fired (and distinguish it from an accidental death).
+Each scenario runs a full workload against an injected fault and asserts
+the recovery invariants: bit-identical bounds after a crash-restart,
+at-least-once client semantics, graceful engine degradation,
+corrupt-cache recompute.  A driver returns a details dict and raises
+AssertionError on a violated invariant; ``bmbp verify`` runs them.  Injected crashes
+exit with :data:`CRASH_EXIT_CODE`, so a scenario can prove the fault
+actually fired (and distinguish it from an accidental death).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = [
-    "CRASH_EXIT_CODE",
-    "ENV_VAR",
-    "FaultPlan",
-    "FaultRule",
-    "FaultSpecError",
-    "active",
-    "crash",
-    "fire",
-    "in_worker_process",
-    "install",
-    "parse_plan",
-    "reset",
-    "run_fault_scenarios",
-]
+from repro.runtime.faults import CRASH_EXIT_CODE, ENV_VAR, install, reset
 
-#: Environment variable holding the fault schedule for spawned processes.
-ENV_VAR = "BMBP_FAULTS"
+__all__ = ["SCENARIOS", "run_fault_scenarios"]
 
-#: Exit code of an injected crash (``kill -9`` would be -9/137; a distinct
-#: code proves the scheduled fault, not something else, killed the process).
-CRASH_EXIT_CODE = 86
-
-
-class FaultSpecError(ValueError):
-    """A malformed fault schedule specification."""
-
-
-@dataclass(frozen=True)
-class FaultRule:
-    """Fire ``action`` on the ``at``-th hit (1-based) of ``site``."""
-
-    site: str
-    action: str
-    at: int
-
-
-class FaultPlan:
-    """A parsed schedule with per-site hit counters.
-
-    Counters are per-process state: a forked pool worker inherits a *copy*
-    of the parent's counters, which is exactly what makes worker-death
-    schedules deterministic (each worker counts its own task invocations).
-    """
-
-    def __init__(self, rules: List[FaultRule]):
-        self.rules = list(rules)
-        self._hits: Dict[str, int] = {}
-
-    def fire(self, site: str) -> Optional[str]:
-        """Count one hit of ``site``; return the scheduled action, if any."""
-        count = self._hits.get(site, 0) + 1
-        self._hits[site] = count
-        for rule in self.rules:
-            if rule.site == site and rule.at == count:
-                return rule.action
-        return None
-
-    def hits(self, site: str) -> int:
-        return self._hits.get(site, 0)
-
-    def spec(self) -> str:
-        return ",".join(f"{r.site}:{r.action}@{r.at}" for r in self.rules)
-
-
-def parse_plan(spec: str) -> FaultPlan:
-    """Parse a ``site:action@N,...`` schedule spec into a plan."""
-    rules: List[FaultRule] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            site_action, at_text = part.rsplit("@", 1)
-            site, action = site_action.split(":", 1)
-            at = int(at_text)
-        except ValueError:
-            raise FaultSpecError(
-                f"bad fault spec {part!r} (want site:action@N)"
-            ) from None
-        if at < 1:
-            raise FaultSpecError(f"fault hit index must be >= 1, got {at}")
-        if not site or not action:
-            raise FaultSpecError(f"bad fault spec {part!r} (empty site/action)")
-        rules.append(FaultRule(site=site.strip(), action=action.strip(), at=at))
-    return FaultPlan(rules)
-
-
-# The active plan.  Loaded from the environment at import so a subprocess
-# spawned with BMBP_FAULTS set is faulty from its very first event.
-_plan: Optional[FaultPlan] = None
-
-_env_spec = os.environ.get(ENV_VAR, "").strip()
-if _env_spec:
-    _plan = parse_plan(_env_spec)
-
-
-def install(spec_or_plan) -> FaultPlan:
-    """Activate a fault plan in this process (tests; pairs with reset())."""
-    global _plan
-    _plan = parse_plan(spec_or_plan) if isinstance(spec_or_plan, str) else spec_or_plan
-    return _plan
-
-
-def reset() -> None:
-    """Deactivate fault injection in this process."""
-    global _plan
-    _plan = None
-
-
-def active() -> bool:
-    return _plan is not None
-
-
-def fire(site: str) -> Optional[str]:
-    """Hook-site entry point: a no-op (None) unless a plan is active."""
-    if _plan is None:
-        return None
-    return _plan.fire(site)
-
-
-def crash() -> None:
-    """Die the way a crash does: no cleanup, no atexit, no flush."""
-    os._exit(CRASH_EXIT_CODE)
-
-
-def in_worker_process() -> bool:
-    """True inside a ``multiprocessing`` pool worker (crash guards)."""
-    return multiprocessing.parent_process() is not None
-
-
-# --------------------------------------------------------------------------
-# Recovery scenarios.  Each driver returns a details dict and raises
-# AssertionError on an invariant violation; the verify runner wraps them.
-# --------------------------------------------------------------------------
 
 #: Daemon flags for deterministic, fast-training scenario runs: epoch 0
 #: refits on every submission (quotes become a pure function of history).

@@ -46,11 +46,9 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.baselines import DowneyLogUniformPredictor, PointQuantilePredictor
-from repro.core.bmbp import BMBPPredictor
-from repro.core.lognormal import LogNormalPredictor
+from repro.core.bank import make_bank
 from repro.scheduler.engine import simulate
 from repro.scheduler.evaluate import default_budgets
 from repro.scheduler.job import SchedJob
@@ -94,15 +92,9 @@ _CORPUS_REPLAY = {"min_queue_jobs": 200, "split_threshold": 800,
 #: regeneration event by definition).
 _REPLAY = ReplayConfig(epoch=300.0, training_fraction=0.10, record_series=True)
 
-#: The method bank pinned per trace: the paper's headline method, both
+#: The methods pinned per trace: the paper's headline method, both
 #: log-normal variants, and two structurally different baselines.
-_METHODS: Dict[str, Callable[[], Any]] = {
-    "bmbp": lambda: BMBPPredictor(0.95, 0.95),
-    "logn-trim": lambda: LogNormalPredictor(0.95, 0.95, trim=True),
-    "logn-notrim": lambda: LogNormalPredictor(0.95, 0.95, trim=False),
-    "downey": lambda: DowneyLogUniformPredictor(0.95, 0.95),
-    "point-quantile": lambda: PointQuantilePredictor(0.95, 0.95),
-}
+_PINNED_METHODS = ("bmbp", "logn-trim", "logn-notrim", "downey", "point-quantile")
 
 _RTOL = 1e-9
 
@@ -130,8 +122,8 @@ def compute_golden(trace_path: Path) -> Dict[str, Any]:
         },
         "methods": {},
     }
-    for name, factory in _METHODS.items():
-        result = replay_single(trace, factory(), _REPLAY)
+    for name, predictor in make_bank(_PINNED_METHODS).items():
+        result = replay_single(trace, predictor, _REPLAY)
         record["methods"][name] = {
             "n_evaluated": result.n_evaluated,
             "n_correct": result.n_correct,

@@ -7,7 +7,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.broker import RoutingBroker
-from repro.verify import faults
+from repro.runtime import faults
 from repro.verify.faults import scenario_broker_backend_crash
 from tests.broker.conftest import FakeSite
 

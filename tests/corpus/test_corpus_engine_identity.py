@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.bank import make_bank
 from repro.corpus.etl import ingest
 from repro.simulator.replay import ReplayConfig, replay
-from repro.verify.conformance import make_bank
 from repro.verify.golden import golden_dir
 
 #: Weibull's streamed fit is path-dependent (see the engine-identity suite):

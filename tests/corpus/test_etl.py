@@ -7,7 +7,7 @@ import pytest
 from repro.corpus.etl import detect_format, ingest
 from repro.corpus.fixtures import expected_drops, generate_corpus_fixture
 from repro.corpus.store import CorpusError, CorpusStore
-from repro.verify import faults
+from repro.runtime import faults
 
 
 @pytest.fixture()

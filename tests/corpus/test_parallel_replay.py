@@ -28,7 +28,7 @@ from repro.corpus.replay import (
     replay_store,
 )
 from repro.runtime.engine import Task, WorkerError
-from repro.verify import faults
+from repro.runtime import faults
 
 JOBS = 4000
 MIN_QUEUE = 200

@@ -25,7 +25,6 @@ from repro.experiments import (
 from repro.experiments.bin_tables import BIN_LABELS
 from repro.experiments.runner import (
     clear_caches,
-    make_predictors,
     run_queue,
     table3_specs,
     trace_for,
@@ -52,12 +51,6 @@ class TestRunner:
         a = run_queue("llnl", "all", TINY)
         b = run_queue("llnl", "all", TINY)
         assert a is b
-
-    def test_make_predictors_are_fresh(self):
-        a = make_predictors(TINY)
-        b = make_predictors(TINY)
-        assert a["bmbp"] is not b["bmbp"]
-        assert set(a) == {"bmbp", "logn-notrim", "logn-trim"}
 
     def test_table3_specs_order_and_count(self):
         specs = table3_specs()

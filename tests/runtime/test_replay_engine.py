@@ -17,13 +17,16 @@ import multiprocessing
 import pickle
 
 import pytest
+from scipy import stats as sps
 
-from repro.experiments.parallel import queue_work, run_queue_batch
+from repro.core import rare_event
+from repro.experiments.parallel import queue_work, run_bin_batch, run_queue_batch
 from repro.experiments.runner import ExperimentConfig, clear_caches, table3_specs
 from repro.runtime import (
     CACHE_VERSION,
     Task,
     WorkerError,
+    configure,
     reset_configuration,
     reset_stats,
     resolve_jobs,
@@ -156,6 +159,43 @@ class TestPersistentCache:
         run_queue_batch(specs, other)
         delta = stats().since(before)
         assert delta.cache_hits == 0 and delta.replays_run == 1
+
+
+@pytest.mark.skipif(not fork_available, reason="needs fork start method")
+class TestParentPrime:
+    def test_forked_workers_inherit_the_primed_tables(
+        self, fresh_cache_dir, monkeypatch
+    ):
+        """After one pooled batch the parent holds every K′ bucket and the
+        rare-event table; a second pooled batch must not compute either
+        again, in the parent or in a worker (which fails the batch with a
+        ``WorkerError``).  The (q, C) level is one no other test uses, so
+        no earlier test has filled these tables in this process."""
+        config = ExperimentConfig(
+            scale=0.01, seed=11, min_jobs=250, quantile=0.93, confidence=0.91
+        )
+        specs = table3_specs()[:3]
+        configure(cache=False)
+        run_queue_batch(specs, config, jobs=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-process table was rebuilt")
+
+        monkeypatch.setattr(sps.nct, "ppf", refuse)
+        monkeypatch.setattr(rare_event, "generate_rare_event_table", refuse)
+        clear_caches()
+        forked = run_queue_batch(specs, config, jobs=2)
+        forked_bins = run_bin_batch(specs, config, jobs=2)
+        clear_caches()
+        serial = run_queue_batch(specs, config, jobs=1)
+        for f, s in zip(forked, serial):
+            _assert_results_equal(f, s)
+        for f, s in zip(forked_bins, run_bin_batch(specs, config, jobs=1)):
+            assert set(f) == set(s)
+            for label in f:
+                assert (f[label] is None) == (s[label] is None)
+                if f[label] is not None:
+                    _assert_results_equal(f[label], s[label])
 
 
 def _boom(tag):

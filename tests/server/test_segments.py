@@ -17,7 +17,7 @@ from repro.server.state import (
     apply_event,
 )
 from repro.service import ForecasterConfig, QueueForecaster
-from repro.verify.faults import CRASH_EXIT_CODE
+from repro.runtime.faults import CRASH_EXIT_CODE
 
 CONFIG = ForecasterConfig(training_jobs=5, by_bin=False, epoch=0.0)
 

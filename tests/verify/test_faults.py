@@ -1,10 +1,11 @@
-"""Unit tests for the fault-injection machinery and in-process scenarios.
+"""Unit tests for the fault-injection hooks and in-process scenarios.
 
 The daemon-backed crash scenarios run (once) inside the fast verify tier
 via ``test_verify_cli.py``; duplicating those subprocess drives here would
 double the suite's wall time for no extra coverage.  This file pins the
-plan parser, the hit-counting semantics, the env-var loading path, and the
-two scenarios cheap enough to run in-process.
+plan parser, the hit-counting semantics and the env-var loading path of
+``repro.runtime.faults``, and the two scenarios of ``repro.verify.faults``
+cheap enough to run in-process.
 """
 
 import os
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.verify import faults
+from repro.runtime import faults
+from repro.verify import faults as scenarios
 
 
 @pytest.fixture(autouse=True)
@@ -114,7 +116,7 @@ class TestModuleState:
         env[faults.ENV_VAR] = "probe:hit@1"
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         code = (
-            "from repro.verify import faults;"
+            "from repro.runtime import faults;"
             "print(faults.active(), faults.fire('probe'))"
         )
         out = subprocess.run(
@@ -128,7 +130,7 @@ class TestModuleState:
         env[faults.ENV_VAR] = ""
         src = str(Path(repro.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        code = "from repro.verify import faults; print(faults.active())"
+        code = "from repro.runtime import faults; print(faults.active())"
         out = subprocess.run(
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, check=True,
@@ -136,26 +138,26 @@ class TestModuleState:
         assert out.stdout.strip() == "False"
 
     def test_daemon_env_always_pins_the_variable(self):
-        assert faults._daemon_env(None)[faults.ENV_VAR] == ""
-        assert faults._daemon_env("a:b@1")[faults.ENV_VAR] == "a:b@1"
+        assert scenarios._daemon_env(None)[faults.ENV_VAR] == ""
+        assert scenarios._daemon_env("a:b@1")[faults.ENV_VAR] == "a:b@1"
 
 
 class TestInProcessScenarios:
     def test_worker_death_recovers_to_identical_results(self, tmp_path):
-        details = faults.scenario_worker_death(tmp_path)
+        details = scenarios.scenario_worker_death(tmp_path)
         assert details["results_identical"]
 
     def test_cache_corruption_recomputes(self, tmp_path):
-        details = faults.scenario_cache_corruption(tmp_path)
+        details = scenarios.scenario_cache_corruption(tmp_path)
         assert details["recomputed_after_corruption"]
         assert details["rehit_after_recompute"]
 
     def test_registry_covers_at_least_five_scenarios(self):
         # ISSUE acceptance: >= 5 injected-fault recovery scenarios.
-        assert len(faults.SCENARIOS) >= 5
+        assert len(scenarios.SCENARIOS) >= 5
 
     def test_run_fault_scenarios_subset_reports_records(self):
-        records = faults.run_fault_scenarios(["worker-death", "cache-corruption"])
+        records = scenarios.run_fault_scenarios(["worker-death", "cache-corruption"])
         assert [r["name"] for r in records] == ["worker-death", "cache-corruption"]
         for record in records:
             assert record["passed"], record.get("error")
