@@ -13,28 +13,24 @@ but a different op set (:data:`~repro.server.protocol.BROKER_OPS`):
 
 The broker holds no durable state (every answer is derived from the
 backends and the in-memory SWR cache), so there is no journal — shutdown
-is a plain connection drain.  Like the forecast daemon it writes a
-``server.port`` file to ``state_dir`` after binding so tests and scripts
-can discover an ephemeral ``--port 0`` listener with the same
-:func:`~repro.server.client.read_port_file` helper.
+is a plain connection drain.  The listener, framing, HTTP layer, drain
+and ``server.port`` file are :class:`repro.server.shell.DaemonShell`'s,
+shared with the forecast daemon; this module adds the one-request-at-a-
+time NDJSON loop and the broker's ops.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
-import signal
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.broker.broker import RoutingBroker
 from repro.broker.registry import SiteSpec
 from repro.server import protocol
-from repro.server.daemon import PORT_FILE_NAME
 from repro.server.metrics import BrokerMetrics
+from repro.server.shell import DaemonShell, run_daemon
 
 __all__ = ["BrokerConfig", "BrokerServer", "serve_broker"]
 
@@ -57,13 +53,15 @@ class BrokerConfig:
     drain_timeout: float = 5.0
 
 
-class BrokerServer:
+class BrokerServer(DaemonShell):
     """Asyncio daemon hosting one routing broker."""
+
+    http_routes = protocol.BROKER_HTTP_ROUTES
 
     def __init__(self, config: BrokerConfig):
         if not config.sites:
             raise ValueError("broker daemon needs at least one --site")
-        self.config = config
+        super().__init__(config)
         self.metrics = BrokerMetrics()
         self.broker = RoutingBroker(
             config.sites,
@@ -76,87 +74,11 @@ class BrokerServer:
             breaker_reset=config.breaker_reset,
             pool_size=config.pool_size,
         )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.Task] = set()
-        self._draining = False
-        self._stopped: Optional[asyncio.Event] = None
 
-    # ------------------------------------------------------------- lifecycle
-
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "server not started"
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self) -> None:
-        self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.config.host,
-            port=self.config.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
-        if self.config.state_dir is not None:
-            directory = Path(self.config.state_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            (directory / PORT_FILE_NAME).write_text(f"{self.port}\n")
-
-    async def serve_forever(self) -> None:
-        await self._stopped.wait()
-
-    async def stop(self) -> None:
-        if self._draining:
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._connections:
-            done, pending = await asyncio.wait(
-                self._connections, timeout=self.config.drain_timeout
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+    async def _shutdown(self) -> None:
         await self.broker.close()
-        if self.config.state_dir is not None:
-            try:
-                (Path(self.config.state_dir) / PORT_FILE_NAME).unlink()
-            except OSError:
-                pass
-        self._stopped.set()
 
-    # ------------------------------------------------------------ connections
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Drain cancelled an idle read; end the task quietly (re-raising
-            # here makes asyncio.streams log a spurious callback error).
-            pass
-        finally:
-            self._connections.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_connection(self, reader, writer) -> None:
-        first = await self._read_line(reader, writer)
-        if first is None:
-            return
-        if protocol.looks_like_http(first):
-            await self._serve_http(first, reader, writer)
-            return
+    async def _serve_ndjson(self, first: bytes, reader, writer) -> None:
         line: Optional[bytes] = first
         while line is not None and not self._draining:
             response = await self._process_line(line)
@@ -166,25 +88,6 @@ class BrokerServer:
             except (ConnectionError, OSError):
                 return
             line = await self._read_line(reader, writer)
-
-    async def _read_line(self, reader, writer) -> Optional[bytes]:
-        try:
-            line = await reader.readline()
-        except ValueError:
-            writer.write(
-                protocol.encode(
-                    protocol.error_response(
-                        None, "bad-request", "request line exceeds size limit"
-                    )
-                )
-            )
-            await writer.drain()
-            return None
-        if not line:
-            return None
-        if line.strip() == b"":
-            return await self._read_line(reader, writer)
-        return line
 
     # -------------------------------------------------------------- execution
 
@@ -227,75 +130,24 @@ class BrokerServer:
             return self.metrics.snapshot()
         raise protocol.ProtocolError("unknown-op", f"unknown op {op!r}")
 
-    # ------------------------------------------------------------------ HTTP
-
-    async def _serve_http(self, first: bytes, reader, writer) -> None:
-        while True:
-            header = await reader.readline()
-            if not header or header in (b"\r\n", b"\n"):
-                break
-        status, content_type, body = await self._http_payload(first)
-        writer.write(protocol.render_http_response(status, body, content_type))
-        await writer.drain()
-
-    async def _http_payload(self, first: bytes):
-        try:
-            method, path, query = protocol.parse_http_request_line(first.strip())
-            request = protocol.http_request_to_op(
-                method, path, query, routes=protocol.BROKER_HTTP_ROUTES
-            )
-        except protocol.ProtocolError as exc:
-            status = {"http-404": 404, "http-405": 405}.get(exc.code, 400)
-            body = json.dumps(
-                {"ok": False, "error": {"code": exc.code, "message": exc.message}}
-            ).encode()
-            return status, "application/json", body
+    async def _http_result(self, request: Dict[str, Any]) -> Any:
         if request["op"] == "metrics":
-            return 200, "text/plain; version=0.0.4", self.metrics.render_text().encode()
-        try:
-            result = await self._execute(request)
-        except protocol.ProtocolError as exc:
-            body = json.dumps(
-                {"ok": False, "error": {"code": exc.code, "message": exc.message}}
-            ).encode()
-            return 400, "application/json", body
-        return (
-            200,
-            "application/json",
-            json.dumps({"ok": True, "result": result}).encode(),
-        )
+            return self.metrics.render_text()
+        return await self._execute(request)
 
 
-async def _run(config: BrokerConfig) -> int:
-    server = BrokerServer(config)
-    await server.start()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, lambda: loop.create_task(server.stop()))
-        except NotImplementedError:  # non-Unix platforms
-            pass
+def _banner(server: BrokerServer) -> str:
     sites = ", ".join(
-        f"{spec.name}={spec.host}:{spec.port}" for spec in config.sites
+        f"{spec.name}={spec.host}:{spec.port}" for spec in server.config.sites
     )
-    print(
-        f"bmbp-broker: listening on {config.host}:{server.port} "
-        f"routing over [{sites}]",
-        file=sys.stderr,
-        flush=True,
+    return (
+        f"bmbp-broker: listening on {server.config.host}:{server.port} "
+        f"routing over [{sites}]"
     )
-    started = time.monotonic()
-    await server.serve_forever()
-    print(
-        f"bmbp-broker: drained after {time.monotonic() - started:.1f}s, bye",
-        file=sys.stderr,
-    )
-    return 0
 
 
 def serve_broker(config: BrokerConfig) -> int:
     """Blocking entry point used by ``bmbp broker``."""
-    try:
-        return asyncio.run(_run(config))
-    except KeyboardInterrupt:
-        return 0
+    return run_daemon(
+        lambda: BrokerServer(config), _banner, "bmbp-broker: drained, bye"
+    )

@@ -215,13 +215,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "journal entries the replication stream had not delivered",
     )
     fleet.add_argument(
-        "--no-group-commit", action="store_true",
-        help="journal+flush each event individually instead of batching "
-        "pipelined bursts into one flush",
-    )
-    fleet.add_argument(
         "--max-batch", type=int, default=128, metavar="N",
-        help="group-commit burst size cap (default %(default)s)",
+        help="group-commit burst size cap (default %(default)s; 1 = "
+        "journal and flush each event on its own)",
     )
     fleet.add_argument(
         "--segment-bytes", type=int, default=None, metavar="BYTES",
@@ -257,7 +253,6 @@ def _serve_main(argv: List[str]) -> int:
         shard_count=args.shard_count,
         follow=args.follow,
         follow_dir=args.follow_dir,
-        group_commit=not args.no_group_commit,
         max_batch=args.max_batch,
         forecaster=ForecasterConfig(
             quantile=args.quantile,
@@ -278,6 +273,11 @@ def build_tail_parser() -> argparse.ArgumentParser:
     parser.add_argument("swf", help="SWF trace file (plain or .gz)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7077)
+    parser.add_argument(
+        "--fleet", default=None, metavar="DIR",
+        help="feed the fleet in DIR (each queue goes to its shard) instead "
+        "of the daemon at --host/--port",
+    )
     parser.add_argument(
         "--speedup", type=float, default=0.0, metavar="X",
         help="trace-seconds replayed per wall-second (3600 = an hour of log "
@@ -300,7 +300,7 @@ def _tail_main(argv: List[str]) -> int:
     args = build_tail_parser().parse_args(argv)
     summary = tail_swf(
         args.swf, host=args.host, port=args.port, speedup=args.speedup,
-        limit=args.limit, progress_every=args.progress_every,
+        limit=args.limit, progress_every=args.progress_every, fleet=args.fleet,
     )
     hit = summary["quote_hit_rate"]
     print(
@@ -334,14 +334,6 @@ def build_fleet_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--status", action="store_true",
         help="print the fleet topology (ports, roles) of --dir and exit",
-    )
-    parser.add_argument(
-        "--router", action="store_true",
-        help="also run a single-endpoint router proxy in front of the fleet",
-    )
-    parser.add_argument(
-        "--router-port", type=int, default=0, metavar="PORT",
-        help="router listen port (default 0 = ephemeral, printed on start)",
     )
     parser.add_argument("--quantile", type=float, default=0.95)
     parser.add_argument("--confidence", type=float, default=0.95)
@@ -387,30 +379,6 @@ def _fleet_main(argv: List[str]) -> int:
     for sig in (signal_module.SIGTERM, signal_module.SIGINT):
         signal_module.signal(sig, _signal_handler)
 
-    if args.router:
-        import asyncio
-
-        from repro.fleet.router import FleetRouter
-
-        async def _run_router() -> None:
-            router = FleetRouter(
-                manager.endpoints(), shard_count=args.shards,
-                host=args.host, listen_host=args.host,
-                listen_port=args.router_port,
-            )
-            await router.start()
-            print(f"router: {args.host}:{router.port}", flush=True)
-            try:
-                while not stop["flag"]:
-                    await asyncio.sleep(0.25)
-            finally:
-                await router.stop()
-
-        try:
-            asyncio.run(_run_router())
-        finally:
-            manager.stop()
-        return 0
     print("fleet up; Ctrl-C to stop", flush=True)
     try:
         while not stop["flag"]:
@@ -801,8 +769,6 @@ def build_corpus_parser() -> argparse.ArgumentParser:
         "--min-queue-jobs", type=int, default=1000, metavar="N",
         help="skip queues smaller than this (default %(default)s)",
     )
-    p_replay.add_argument("--engine", default=None,
-                          choices=["batched", "reference"])
     p_replay.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for the parallel fan-out (default: "
@@ -877,8 +843,7 @@ def _corpus_main(argv: List[str]) -> int:
             methods = args.methods.split(",") if args.methods else None
             report = replay_store(
                 store, epoch=args.epoch, methods=methods,
-                min_queue_jobs=args.min_queue_jobs, engine=args.engine,
-                jobs=args.jobs,
+                min_queue_jobs=args.min_queue_jobs, jobs=args.jobs,
                 cache=False if args.no_cache else None,
                 split_threshold=(args.split_threshold
                                  if args.split_threshold is not None

@@ -350,7 +350,6 @@ def replay_store(
     epoch: float = 300.0,
     methods: Optional[Sequence[str]] = None,
     min_queue_jobs: int = DEFAULT_MIN_QUEUE_JOBS,
-    engine: Optional[str] = None,
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
     split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
@@ -382,7 +381,9 @@ def replay_store(
     path is property-tested against.  ``cache=None`` follows the
     engine-wide setting; a :class:`CorpusView` input (no backing store
     directory) always computes in-process and uncached, since there is
-    no path for workers to re-open nor manifest to key on.
+    no path for workers to re-open nor manifest to key on.  The replay
+    engine is ``$BMBP_REPLAY_ENGINE``'s (default ``batched``), recorded
+    in the provenance and in every unit's cache key.
     """
     from repro import runtime
     from repro.core.bank import HEADLINE, make_bank
@@ -401,7 +402,7 @@ def replay_store(
                 f"unknown method(s) {unknown}; bank has {sorted(HEADLINE)}"
             )
         methods_tuple = tuple(sorted(methods))
-    resolved_engine = _resolve_engine(engine)
+    resolved_engine = _resolve_engine(None)
 
     units, skipped = plan_units(
         view,

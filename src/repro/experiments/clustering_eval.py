@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.bmbp import BMBPPredictor
 from repro.core.clustering import ClusteredPredictor
+from repro.experiments.parallel import prime
 from repro.experiments.report import render_table
 from repro.experiments.runner import ExperimentConfig, trace_for
 from repro.runtime import Task, run_tasks
@@ -199,8 +200,9 @@ def run_clustering_eval(
              label=f"{machine}/{queue}[grouping]")
         for machine, queue in CLUSTERING_QUEUES
     ]
+    specs = [spec_for(*queue) for queue in CLUSTERING_QUEUES]
     rows: List[ClusteringRow] = []
-    for queue_rows in run_tasks(tasks):
+    for queue_rows in run_tasks(tasks, before_fork=lambda: prime(specs, config)):
         rows.extend(queue_rows)
     return rows
 

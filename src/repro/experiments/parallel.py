@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core.predictor import QuantilePredictor
 from repro.experiments import runner
 from repro.experiments.runner import ExperimentConfig
 from repro.runtime import Task, run_tasks
@@ -38,6 +39,7 @@ __all__ = [
     "bin_cells_work",
     "run_queue_batch",
     "run_bin_batch",
+    "prime",
 ]
 
 
@@ -78,13 +80,24 @@ def bin_cells_work(
     return cells
 
 
-def _prime(specs: List[QueueSpec], config: ExperimentConfig) -> None:
+def prime(
+    specs: List[QueueSpec],
+    config: ExperimentConfig,
+    predictors: Optional[Dict[str, QuantilePredictor]] = None,
+) -> None:
     """Fill the per-process K′ and rare-event tables before a pool forks,
     so workers inherit them instead of rebuilding them per task (as
-    ``corpus.replay_store`` does)."""
+    ``corpus.replay_store`` does); pass it to ``run_tasks`` as
+    ``before_fork``.
+
+    ``predictors`` is a bank like the ones the tasks build (default: the
+    paper's three methods at ``config``'s level); ``specs`` are the queues
+    whose generated traces the tasks replay.
+    """
     if specs:
         longest = max(_job_count(config.generator, spec) for spec in specs)
-        for predictor in runner.make_predictors(config).values():
+        bank = predictors if predictors is not None else runner.make_predictors(config)
+        for predictor in bank.values():
             predictor.prime(longest)
 
 
@@ -117,8 +130,9 @@ def run_queue_batch(
             )
         )
         positions.append(i)
-    _prime([specs[i] for i in positions], config)
-    for i, value in zip(positions, run_tasks(tasks, jobs=jobs)):
+    misses = [specs[i] for i in positions]
+    values = run_tasks(tasks, jobs=jobs, before_fork=lambda: prime(misses, config))
+    for i, value in zip(positions, values):
         spec = specs[i]
         runner.store_queue_result(spec.machine, spec.queue, config, value)
         results[i] = value
@@ -132,7 +146,6 @@ def run_bin_batch(
 ) -> List[Dict[str, Optional[Dict[str, ReplayResult]]]]:
     """Per-bin replays for many queues; one work item per queue."""
     config = config or ExperimentConfig()
-    _prime(specs, config)
     tasks = [
         Task(
             func=bin_cells_work,
@@ -141,4 +154,4 @@ def run_bin_batch(
         )
         for spec in specs
     ]
-    return run_tasks(tasks, jobs=jobs)
+    return run_tasks(tasks, jobs=jobs, before_fork=lambda: prime(specs, config))

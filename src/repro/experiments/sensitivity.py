@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.bmbp import BMBPPredictor
+from repro.experiments.parallel import prime
 from repro.experiments.report import format_cell, render_table
 from repro.experiments.runner import ExperimentConfig, trace_for
 from repro.runtime import Task, run_tasks
@@ -63,14 +64,17 @@ def _grid_work(
     the trace is regenerated worker-side from the seeded generator.
     """
     trace = trace_for(spec_for(machine, queue), config)
-    predictors = {
+    return replay(trace, _grid_bank(), config.replay)
+
+
+def _grid_bank() -> Dict[str, BMBPPredictor]:
+    return {
         f"q{quantile}/c{confidence}": BMBPPredictor(
             quantile=quantile, confidence=confidence
         )
         for quantile in QUANTILE_GRID
         for confidence in CONFIDENCE_GRID
     }
-    return replay(trace, predictors, config.replay)
 
 
 def run_sensitivity(
@@ -87,10 +91,12 @@ def run_sensitivity(
              label=f"{machine}/{queue}[grid]")
         for machine, queue in SENSITIVITY_QUEUES
     ]
+    specs = [spec_for(*queue) for queue in SENSITIVITY_QUEUES]
+    results_by_queue = run_tasks(
+        tasks, before_fork=lambda: prime(specs, config, _grid_bank())
+    )
     rows: List[SensitivityRow] = []
-    for (machine, queue), results in zip(
-        SENSITIVITY_QUEUES, run_tasks(tasks)
-    ):
+    for (machine, queue), results in zip(SENSITIVITY_QUEUES, results_by_queue):
         for quantile in QUANTILE_GRID:
             for confidence in CONFIDENCE_GRID:
                 result = results[f"q{quantile}/c{confidence}"]

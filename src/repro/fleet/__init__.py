@@ -16,9 +16,8 @@ Pieces:
 * :mod:`repro.fleet.manager` — spawns/kills/promotes the worker
   processes; what ``bmbp fleet`` and the fault scenarios drive.
 * :mod:`repro.fleet.client` — shard-aware synchronous client: routes by
-  queue hash, remembers job→shard, fans out when it must.
-* :mod:`repro.fleet.router` — a single-endpoint asyncio proxy for
-  clients that do not speak the shard map.
+  queue hash, remembers job→shard, fans out when it must.  ``bmbp tail
+  --fleet DIR`` feeds a fleet from a log through it.
 """
 
 from repro.fleet.client import FleetClient

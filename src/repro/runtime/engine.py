@@ -143,9 +143,6 @@ class _Settings:
     jobs: Optional[int] = None
     cache: Optional[bool] = None
     cache_dir: Optional[str] = None
-    # Previous BMBP_REPLAY_ENGINE value, captured when configure() first
-    # overrides it (None = not overridden; "" = was unset).
-    engine_saved: Optional[str] = None
 
 
 _settings = _Settings()
@@ -156,17 +153,12 @@ def configure(
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
-    engine: Optional[str] = None,
 ) -> None:
     """Set process-wide engine defaults (the CLI's ``--jobs``/``--no-cache``).
 
     ``None`` leaves a setting unchanged at its environment-derived default.
-
-    ``engine`` selects the replay engine (``"batched"``/``"reference"``,
-    the CLI's ``--replay-engine``) by exporting ``BMBP_REPLAY_ENGINE`` —
-    the environment is the one channel that reaches both in-process replays
-    and pool workers, which inherit it at spawn.  The prior value is
-    restored by :func:`reset_configuration`.
+    The replay engine is not set here: ``BMBP_REPLAY_ENGINE`` selects it,
+    the one channel that reaches both in-process replays and pool workers.
     """
     if jobs is not None:
         _settings.jobs = max(1, int(jobs))
@@ -174,16 +166,6 @@ def configure(
         _settings.cache = bool(cache)
     if cache_dir is not None:
         _settings.cache_dir = str(cache_dir)
-    if engine is not None:
-        from repro.simulator.replay import ENGINES, ENGINE_ENV_VAR
-
-        if engine not in ENGINES:
-            raise ValueError(
-                f"replay engine must be one of {ENGINES}, got {engine!r}"
-            )
-        if _settings.engine_saved is None:
-            _settings.engine_saved = os.environ.get(ENGINE_ENV_VAR, "")
-        os.environ[ENGINE_ENV_VAR] = engine
 
 
 def reset_configuration() -> None:
@@ -191,14 +173,6 @@ def reset_configuration() -> None:
     _settings.jobs = None
     _settings.cache = None
     _settings.cache_dir = None
-    if _settings.engine_saved is not None:
-        from repro.simulator.replay import ENGINE_ENV_VAR
-
-        if _settings.engine_saved:
-            os.environ[ENGINE_ENV_VAR] = _settings.engine_saved
-        else:
-            os.environ.pop(ENGINE_ENV_VAR, None)
-        _settings.engine_saved = None
 
 
 def stats() -> EngineStats:
@@ -312,6 +286,7 @@ def run_tasks(
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
     progress: Optional[Callable[[int, int], None]] = None,
+    before_fork: Optional[Callable[[], None]] = None,
 ) -> List[Any]:
     """Execute tasks and return their results in task order.
 
@@ -324,6 +299,11 @@ def run_tasks(
     completion order, not submission order).  ``done`` is clamped to
     ``total``; the callback must tolerate being called from the main
     process while the pool is still running.
+
+    ``before_fork`` runs here just before a pool starts for the cache
+    misses, and not at all when every task hits the cache or the misses
+    run serially: fill per-process memos there so forked workers inherit
+    them instead of each building its own.
     """
     tasks = list(tasks)
     results: List[Any] = [None] * len(tasks)
@@ -360,6 +340,8 @@ def run_tasks(
     to_run = [task for _, task in pending]
     on_done = _tick if progress is not None else None
     if len(to_run) > 1 and effective_jobs > 1:
+        if before_fork is not None:
+            before_fork()
         outcomes = _run_pool(to_run, effective_jobs, on_done)
     else:
         outcomes = _run_serial(to_run, on_done)

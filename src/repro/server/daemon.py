@@ -18,7 +18,9 @@ response is written until that flush returns — which keeps the
 apply→journal→ack contract per event while amortising the flush across a
 pipelined burst.  On SIGTERM/SIGINT the daemon drains: it stops accepting
 connections, lets in-flight requests finish (bounded by
-``drain_timeout``), takes a final checkpoint, and exits 0.
+``drain_timeout``), takes a final checkpoint, and exits 0.  The listener,
+the line framing, the HTTP layer and the drain are
+:class:`repro.server.shell.DaemonShell`'s, shared with the routing broker.
 
 **Fleet roles.**  The same daemon binary serves three jobs for
 :mod:`repro.fleet`:
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -62,14 +63,11 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 from repro.runtime import faults
 from repro.server import protocol
 from repro.server.metrics import ServerMetrics
+from repro.server.shell import PORT_FILE_NAME, DaemonShell, run_daemon
 from repro.server.state import DEFAULT_SEGMENT_BYTES, StateStore, apply_event
 from repro.service.forecaster import ForecasterConfig, QueueForecaster
 
 __all__ = ["PORT_FILE_NAME", "ServerConfig", "ForecastServer", "serve"]
-
-#: File in the state directory holding the bound port (written after bind,
-#: so tests and the tail shim can discover an ephemeral ``--port 0``).
-PORT_FILE_NAME = "server.port"
 
 _LAG_PROBE_INTERVAL = 0.25
 #: Heartbeat cadence on an idle replication stream (carries the primary's
@@ -105,8 +103,8 @@ class ServerConfig:
     follow: Optional[str] = None  # "host:port" of the primary to replicate
     follow_dir: Optional[Union[str, Path]] = None  # primary's state dir,
     # read at promotion to replay any entries the stream had not delivered
-    group_commit: bool = True  # batch pipelined events into one flush
-    max_batch: int = 128  # burst size cap for one group commit
+    max_batch: int = 128  # burst size cap for one group commit (1 = flush
+    # every event on its own)
     segment_bytes: int = DEFAULT_SEGMENT_BYTES  # journal segment roll size
 
 
@@ -120,11 +118,11 @@ class _SyncSubscriber:
         self.overflow = False
 
 
-class ForecastServer:
+class ForecastServer(DaemonShell):
     """Asyncio daemon hosting one forecaster; see the module docstring."""
 
     def __init__(self, config: Optional[ServerConfig] = None):
-        self.config = config or ServerConfig()
+        super().__init__(config or ServerConfig())
         self.role = "follower" if self.config.follow else "primary"
         self.metrics = ServerMetrics(
             shard_id=self.config.shard_id,
@@ -133,28 +131,17 @@ class ForecastServer:
         )
         self.forecaster: Optional[QueueForecaster] = None
         self.store: Optional[StateStore] = None
-        self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: Set[asyncio.Task] = set()
-        self._connections: Set[asyncio.Task] = set()
         self._subscribers: Set[_SyncSubscriber] = set()
         self._follow_task: Optional[asyncio.Task] = None
-        self._draining = False
         self._drop_next_response = False  # set by the daemon.mutation fault
         self._staged_entries: List[Dict[str, Any]] = []  # current burst's
         # journal entries, flushed as one group commit before any ack
-        # Created in start(): asyncio primitives must bind the running loop.
-        self._stopped: Optional[asyncio.Event] = None
 
     # -------------------------------------------------------------- lifecycle
 
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "server not started"
-        return self._server.sockets[0].getsockname()[1]
-
     async def start(self) -> None:
         """Recover state, bind, and begin serving (returns once listening)."""
-        self._stopped = asyncio.Event()
         if self.config.state_dir is not None:
             self.store = StateStore(
                 self.config.state_dir,
@@ -166,12 +153,7 @@ class ForecastServer:
             self.metrics.replayed_on_boot = replayed
         else:
             self.forecaster = QueueForecaster(self.config.forecaster)
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.config.host,
-            port=self.config.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
+        await super().start()
         self._spawn(self._lag_monitor(), "lag-monitor")
         if self.store is not None:
             self._spawn(self._checkpoint_timer(), "checkpoint-timer")
@@ -182,30 +164,9 @@ class ForecastServer:
                 self._follow_loop()
             )
             self._tasks.add(self._follow_task)
-        if self.config.state_dir is not None:
-            port_file = Path(self.config.state_dir) / PORT_FILE_NAME
-            port_file.write_text(f"{self.port}\n")
 
-    async def serve_forever(self) -> None:
-        """Block until :meth:`stop` completes (e.g. via a signal handler)."""
-        await self._stopped.wait()
-
-    async def stop(self) -> None:
-        """Graceful drain: no new connections, finish in-flight, checkpoint."""
-        if self._draining:
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._connections:
-            done, pending = await asyncio.wait(
-                self._connections, timeout=self.config.drain_timeout
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+    async def _shutdown(self) -> None:
+        """After the drain: stop the timers and replication, checkpoint."""
         for task in self._tasks:
             task.cancel()
         if self._tasks:
@@ -214,12 +175,14 @@ class ForecastServer:
             self.store.checkpoint(self.forecaster)
             self.metrics.checkpoints += 1
             self.store.close()
-        if self.config.state_dir is not None:
-            try:
-                (Path(self.config.state_dir) / PORT_FILE_NAME).unlink()
-            except OSError:
-                pass
-        self._stopped.set()
+
+    def _count_connection(self, delta: int) -> None:
+        self.metrics.connections_open += delta
+        if delta > 0:
+            self.metrics.connections_total += 1
+
+    def _count_http(self) -> None:
+        self.metrics.http_requests += 1
 
     def _spawn(self, coro, name: str) -> None:
         task = asyncio.get_running_loop().create_task(coro)
@@ -255,39 +218,9 @@ class ForecastServer:
 
     # ------------------------------------------------------------ connections
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        self.metrics.connections_open += 1
-        self.metrics.connections_total += 1
-        try:
-            await self._serve_connection(reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away; nothing to clean up
-        except asyncio.CancelledError:
-            raise
-        finally:
-            self.metrics.connections_open -= 1
-            self._connections.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        first = await self._read_line(reader, writer)
-        if first is None:
-            return
-        if protocol.looks_like_http(first):
-            await self._serve_http(first, reader, writer)
-            return
-        # NDJSON mode: bounded queue between a reader and a worker gives
-        # per-connection backpressure (see module docstring).
+    async def _serve_ndjson(self, first: bytes, reader, writer) -> None:
+        """A bounded queue between this reader and a worker gives
+        per-connection backpressure (see module docstring)."""
         queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.max_request_queue)
         await queue.put(first)
         worker = asyncio.get_running_loop().create_task(
@@ -306,28 +239,6 @@ class ForecastServer:
                 worker.cancel()  # worker is gone; nothing will drain it
             await asyncio.wait({worker})
 
-    async def _read_line(self, reader, writer) -> Optional[bytes]:
-        """One request line, or None on EOF/oversize (oversize kills the
-        connection after a structured error — there is no way to resync a
-        stream mid-line)."""
-        try:
-            line = await reader.readline()
-        except ValueError:
-            writer.write(
-                protocol.encode(
-                    protocol.error_response(
-                        None, "bad-request", "request line exceeds size limit"
-                    )
-                )
-            )
-            await writer.drain()
-            return None
-        if not line:
-            return None
-        if line.strip() == b"":
-            return await self._read_line(reader, writer)
-        return line
-
     async def _request_worker(self, queue: asyncio.Queue, writer) -> None:
         """Drain the connection's queue in bursts and group commit each one.
 
@@ -336,7 +247,7 @@ class ForecastServer:
         sees an ack for an event that could vanish in a crash — the same
         guarantee as per-event journaling, minus N-1 flushes per burst.
         """
-        max_batch = self.config.max_batch if self.config.group_commit else 1
+        max_batch = self.config.max_batch
         done = False
         while not done:
             line = await queue.get()
@@ -781,81 +692,44 @@ class ForecastServer:
 
     # ------------------------------------------------------------------ HTTP
 
-    async def _serve_http(self, first: bytes, reader, writer) -> None:
-        """One-shot HTTP/1.1 exchange for the read-only routes."""
-        self.metrics.http_requests += 1
-        # Drain the header block; we route on the request line alone.
-        while True:
-            header = await reader.readline()
-            if not header or header in (b"\r\n", b"\n"):
-                break
-        status, content_type, body = self._http_payload(first)
-        writer.write(protocol.render_http_response(status, body, content_type))
-        await writer.drain()
-
-    def _http_payload(self, first: bytes):
+    async def _http_result(self, request: Dict[str, Any]) -> Any:
         started = time.perf_counter()
-        try:
-            method, path, query = protocol.parse_http_request_line(first.strip())
-            request = protocol.http_request_to_op(method, path, query)
-        except protocol.ProtocolError as exc:
-            status = {"http-404": 404, "http-405": 405}.get(exc.code, 400)
-            body = json.dumps(
-                {"ok": False, "error": {"code": exc.code, "message": exc.message}}
-            ).encode()
-            return status, "application/json", body
         op = request["op"]
-        if op == "metrics":
-            body = self.metrics.render_text(self.forecaster).encode()
-            self.metrics.record_request(op, time.perf_counter() - started, True)
-            return 200, "text/plain; version=0.0.4", body
         try:
-            result = self._execute(request)
+            if op == "metrics":
+                result = self.metrics.render_text(self.forecaster)
+            else:
+                result = self._execute(request)
         except protocol.ProtocolError as exc:
             self.metrics.record_request(
                 op, time.perf_counter() - started, False, exc.code
             )
-            body = json.dumps(
-                {"ok": False, "error": {"code": exc.code, "message": exc.message}}
-            ).encode()
-            return 400, "application/json", body
+            raise
         self.metrics.record_request(op, time.perf_counter() - started, True)
-        return 200, "application/json", json.dumps({"ok": True, "result": result}).encode()
+        return result
 
 
-async def _run(config: ServerConfig) -> int:
-    server = ForecastServer(config)
-    await server.start()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, lambda: loop.create_task(server.stop()))
-        except NotImplementedError:  # non-Unix platforms
-            pass
+def _banner(server: ForecastServer) -> str:
+    config = server.config
     shard = (
         f" shard {config.shard_id}/{config.shard_count}"
         if config.shard_id is not None
         else ""
     )
     role = f" as {server.role}" if config.follow else ""
-    print(
+    return (
         f"bmbp-serve: listening on {config.host}:{server.port}{shard}{role}"
         + (
             f" (state: {config.state_dir})"
             if config.state_dir is not None
             else " (in-memory, no durability)"
-        ),
-        file=sys.stderr,
-        flush=True,
+        )
     )
-    await server.serve_forever()
-    print("bmbp-serve: drained and checkpointed, bye", file=sys.stderr)
-    return 0
 
 
 def serve(config: Optional[ServerConfig] = None) -> int:
     """Blocking entry point used by ``repro serve``."""
-    try:
-        return asyncio.run(_run(config or ServerConfig()))
-    except KeyboardInterrupt:
-        return 0
+    return run_daemon(
+        lambda: ForecastServer(config), _banner,
+        "bmbp-serve: drained and checkpointed, bye",
+    )

@@ -86,8 +86,8 @@ OPS = MUTATION_OPS | QUERY_OPS | ADMIN_OPS
 def shard_of(queue: str, shard_count: int) -> int:
     """The shard that owns ``queue`` in a ``shard_count``-way fleet.
 
-    Part of the wire contract: every router, shard-aware client, and shard
-    worker must agree on the mapping, so it is a fixed CRC32 (never
+    Part of the wire contract: every shard-aware client and shard worker
+    must agree on the mapping, so it is a fixed CRC32 (never
     Python's salted ``hash``) and lives in the protocol module.
     """
     if shard_count < 1:

@@ -5,9 +5,11 @@ events as they happen.  This shim fakes exactly that from a recorded
 trace (SWF from the Parallel Workloads Archive, plain or gzipped, via
 :mod:`repro.workloads.swf`): it interleaves every job's submission and
 start into one time-ordered event stream and pushes it to a running
-daemon through :class:`ForecastClient`, sleeping between events to honor
-the original spacing compressed by ``speedup`` (``speedup <= 0`` replays
-as fast as the server accepts — the load-test mode).
+daemon through :class:`ForecastClient` (or a whole fleet through
+:class:`repro.fleet.FleetClient`, which routes each queue to its shard),
+sleeping between events to honor the original spacing compressed by
+``speedup`` (``speedup <= 0`` replays as fast as the server accepts — the
+load-test mode).
 
 Every event carries its *trace* timestamp, not the wall clock, so the
 daemon's predictor state after a tail run is identical at any speedup —
@@ -47,7 +49,9 @@ def tail_trace(
     trace:
         The jobs to feed, in any order (events are time-sorted here).
     client:
-        Connected :class:`ForecastClient`.
+        Connected :class:`ForecastClient` or
+        :class:`~repro.fleet.FleetClient`: only ``submit`` and ``start``
+        are called.
     speedup:
         Trace-seconds per wall-second; ``3600`` replays an hour of log per
         second.  ``<= 0`` disables pacing entirely.
@@ -123,13 +127,26 @@ def tail_swf(
     limit: Optional[int] = None,
     queue_names: Optional[Dict[int, str]] = None,
     progress_every: int = 5000,
+    fleet: Optional[Union[str, Path]] = None,
 ) -> Dict[str, float]:
-    """Tail an SWF file (plain or ``.gz``) into a live daemon."""
+    """Tail an SWF file (plain or ``.gz``) into a live daemon, or into the
+    fleet whose directory is ``fleet`` (``host``/``port`` are then unused)."""
     trace = load_swf(path, queue_names=queue_names)
-    # A paced tail can idle for minutes between events; the keepalive ping
-    # revalidates the pooled connection instead of risking a retried submit.
-    with ForecastClient(host, port, keepalive=30.0) as client:
-        client.wait_until_up()
+    if fleet is not None:
+        # Imported here: repro.fleet imports repro.server, which imports
+        # this module.
+        from repro.fleet import FleetClient, FleetTopology
+
+        # Loading the endpoints waits for every shard primary's port file.
+        client = FleetClient(FleetTopology.load(fleet))
+    else:
+        # A paced tail can idle for minutes between events; the keepalive
+        # ping revalidates the pooled connection instead of risking a
+        # retried submit.
+        client = ForecastClient(host, port, keepalive=30.0)
+    with client:
+        if fleet is None:
+            client.wait_until_up()
         return tail_trace(
             trace, client, speedup=speedup, limit=limit,
             progress_every=progress_every,

@@ -20,8 +20,10 @@ import pytest
 from scipy import stats as sps
 
 from repro.core import rare_event
+from repro.experiments.clustering_eval import run_clustering_eval
 from repro.experiments.parallel import queue_work, run_bin_batch, run_queue_batch
 from repro.experiments.runner import ExperimentConfig, clear_caches, table3_specs
+from repro.experiments.sensitivity import run_sensitivity
 from repro.runtime import (
     CACHE_VERSION,
     Task,
@@ -163,6 +165,21 @@ class TestPersistentCache:
 
 @pytest.mark.skipif(not fork_available, reason="needs fork start method")
 class TestParentPrime:
+    @pytest.mark.skipif(not fork_available, reason="needs fork start method")
+    def test_before_fork_runs_only_when_a_pool_starts(self, fresh_cache_dir):
+        """A warm or serial run must not pay for filling the tables."""
+        calls = []
+        tasks = [Task(func=_square, args=(x,), label=f"sq-{x}") for x in (2, 3)]
+
+        def run(**kwargs):
+            return run_tasks(tasks, before_fork=lambda: calls.append(kwargs),
+                             **kwargs)
+
+        assert run(jobs=1) == [4, 9]  # serial misses, now cached
+        assert run(jobs=2) == [4, 9]  # every task hits the cache
+        assert run(jobs=2, cache=False) == [4, 9]  # a pool starts
+        assert calls == [{"jobs": 2, "cache": False}]
+
     def test_forked_workers_inherit_the_primed_tables(
         self, fresh_cache_dir, monkeypatch
     ):
@@ -196,6 +213,29 @@ class TestParentPrime:
                 assert (f[label] is None) == (s[label] is None)
                 if f[label] is not None:
                     _assert_results_equal(f[label], s[label])
+
+    @pytest.mark.parametrize("experiment", [run_sensitivity, run_clustering_eval])
+    def test_experiments_with_their_own_banks_prime_them(
+        self, experiment, fresh_cache_dir, monkeypatch
+    ):
+        """Sensitivity (a quantile/confidence grid) and clustering-eval
+        (grouped BMBP predictors) fan out banks of their own: after one
+        pooled run from empty tables, a second pooled run must not build a
+        table again.  Emptying the rare-event cache first makes the check
+        independent of what earlier tests left in this process."""
+        config = ExperimentConfig(
+            scale=0.01, seed=11, min_jobs=250, quantile=0.92, confidence=0.9
+        )
+        configure(jobs=2, cache=False)
+        rare_event.default_rare_event_table.cache_clear()
+        first = experiment(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-process table was rebuilt")
+
+        monkeypatch.setattr(sps.nct, "ppf", refuse)
+        monkeypatch.setattr(rare_event, "generate_rare_event_table", refuse)
+        assert repr(experiment(config)) == repr(first)
 
 
 def _boom(tag):

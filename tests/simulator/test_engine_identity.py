@@ -31,7 +31,6 @@ from repro.baselines import (
 )
 from repro.core import BMBPPredictor, BoundKind, LogNormalPredictor
 from repro.core.predictor import prefix_kernel
-from repro.runtime import configure, reset_configuration
 from repro.simulator.replay import ENGINE_ENV_VAR, ReplayConfig, replay
 
 
@@ -763,18 +762,3 @@ class TestEngineSelection:
     def test_unknown_engine_rejected(self, small_trace):
         with pytest.raises(ValueError, match="replay engine"):
             replay(small_trace, _bank(), ReplayConfig(), engine="fancy")
-
-    def test_configure_sets_and_restores_env(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        import os
-
-        configure(engine="reference")
-        try:
-            assert os.environ[ENGINE_ENV_VAR] == "reference"
-        finally:
-            reset_configuration()
-        assert ENGINE_ENV_VAR not in os.environ
-
-    def test_configure_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="replay engine"):
-            configure(engine="fancy")
