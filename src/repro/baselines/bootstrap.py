@@ -123,9 +123,7 @@ class BootstrapQuantilePredictor(QuantilePredictor):
         # the per-refit ``np.sort(values[-max_history:])`` — the window the
         # bootstrap resamples is identical (same multiset, same sorted
         # array), but keeping it costs O(new observations) per refit
-        # instead of O(n log n).  The mirror shares the epoch's pre-sorted
-        # drain batch with the other order-statistic windows (the
-        # shared-sort pass), and a change-point trim rebuilds it from the
+        # instead of O(n log n).  A change-point trim rebuilds it from the
         # retained history.  The legacy recompute arm re-sorts instead and
         # skips the mirror upkeep entirely.
         self._keep_mirror = refit_mode != "recompute"
@@ -137,13 +135,10 @@ class BootstrapQuantilePredictor(QuantilePredictor):
             self._mirror.append(wait)
         super().observe(wait, predicted=predicted)
 
-    def _absorb_batch(self, waits: np.ndarray, shared=None) -> None:
+    def _absorb_batch(self, waits: np.ndarray) -> None:
         if self._keep_mirror:
-            if shared is not None and waits.size >= 9:
-                self._mirror.extend(waits, presorted=shared.sorted_waits())
-            else:
-                self._mirror.extend(waits)
-        super()._absorb_batch(waits, shared)
+            self._mirror.extend(waits)
+        super()._absorb_batch(waits)
 
     def _on_history_trimmed(self) -> None:
         if self._keep_mirror:

@@ -70,7 +70,7 @@ class DowneyLogUniformPredictor(QuantilePredictor):
                 self._hi = wait
         super().observe(wait, predicted=predicted)
 
-    def _absorb_batch(self, waits: np.ndarray, shared=None) -> None:
+    def _absorb_batch(self, waits: np.ndarray) -> None:
         # The running extremes ARE the memoized sufficient statistics of
         # the log-uniform MLE (its support is the sample's range), so both
         # the scalar and the batch feed keep refits O(1).
@@ -81,7 +81,7 @@ class DowneyLogUniformPredictor(QuantilePredictor):
         else:
             self._lo = min(self._lo, lo)
             self._hi = max(self._hi, hi)
-        super()._absorb_batch(waits, shared)
+        super()._absorb_batch(waits)
 
     def _on_history_trimmed(self) -> None:
         values = self.history.arrival_view()

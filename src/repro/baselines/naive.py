@@ -57,7 +57,7 @@ class MaxObservedPredictor(QuantilePredictor):
             self._extreme = min(self._extreme, wait)
         super().observe(wait, predicted=predicted)
 
-    def _absorb_batch(self, waits: np.ndarray, shared=None) -> None:
+    def _absorb_batch(self, waits: np.ndarray) -> None:
         extreme = float(waits.max() if self.kind is BoundKind.UPPER else waits.min())
         if self._extreme is None:
             self._extreme = extreme
@@ -65,7 +65,7 @@ class MaxObservedPredictor(QuantilePredictor):
             self._extreme = max(self._extreme, extreme)
         else:
             self._extreme = min(self._extreme, extreme)
-        super()._absorb_batch(waits, shared)
+        super()._absorb_batch(waits)
 
     def _on_history_trimmed(self) -> None:
         values = self.history.arrival_view()
@@ -182,10 +182,10 @@ class MeanWaitPredictor(QuantilePredictor):
         self._sum += wait
         super().observe(wait, predicted=predicted)
 
-    def _absorb_batch(self, waits: np.ndarray, shared=None) -> None:
+    def _absorb_batch(self, waits: np.ndarray) -> None:
         self._n += int(waits.size)
         self._sum += float(waits.sum())
-        super()._absorb_batch(waits, shared)
+        super()._absorb_batch(waits)
 
     def _on_history_trimmed(self) -> None:
         values = self.history.arrival_view()

@@ -23,8 +23,8 @@ the tolerance (every few dozen observations in practice), a full warm
 :func:`fit_weibull` resynchronizes shape, sums, and the cached profile
 curvature directly from the log ring, purging any accumulated
 floating-point drift.  Batch absorbs (the dense replay path) write the
-epoch's shared log view straight into the ring and invalidate the
-stream; change-point trims rebuild the ring from the retained history.
+batch's logs straight into the ring and invalidate the stream;
+change-point trims rebuild the ring from the retained history.
 
 The streamed shape tracks the exact MLE to within the acceptance
 tolerance (default 2e-3 relative — an order of magnitude under the fit's
@@ -146,12 +146,9 @@ class WeibullPredictor(QuantilePredictor):
                 self._count += 1
         super().observe(wait, predicted=predicted)
 
-    def _absorb_batch(self, waits: np.ndarray, shared=None) -> None:
+    def _absorb_batch(self, waits: np.ndarray) -> None:
         if self._keep_logs:
-            if shared is not None:
-                logs = shared.logs(self.shift)
-            else:
-                logs = np.log(waits + self.shift)
+            logs = np.log(waits + self.shift)
             m = logs.size
             cap = self._cap
             ring = self._ring_l
@@ -172,7 +169,7 @@ class WeibullPredictor(QuantilePredictor):
                     self._pos = end - cap
                 self._count = min(self._count + m, cap)
             self._stream_k = None  # resync from the log ring at next refit
-        super()._absorb_batch(waits, shared)
+        super()._absorb_batch(waits)
 
     def _on_history_trimmed(self) -> None:
         if self._keep_logs:

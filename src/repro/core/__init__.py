@@ -29,7 +29,6 @@ from repro.core.quantile import (
     two_sided_confidence_interval,
     upper_confidence_bound,
 )
-from repro.core.refit import EpochBatch
 from repro.core.sketch import P2Quantile, TDigest
 from repro.core.rare_event import (
     RareEventTable,
@@ -43,7 +42,6 @@ __all__ = [
     "ClusteredPredictor",
     "BoundKind",
     "ConsecutiveMissDetector",
-    "EpochBatch",
     "HistoryWindow",
     "IntervalPredictor",
     "LogNormalPredictor",

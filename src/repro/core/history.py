@@ -34,7 +34,7 @@ function of the window size: :meth:`subscribe_rank` registers a
 ``n -> rank`` resolver under a key, and :meth:`rank_value` answers it from
 the shared maintained view, memoizing the resolved rank per window size.
 All subscriptions on a window share one sorted structure and one flush
-decision — the "shared-sort" contract the refit engine builds on.  Every
+decision.  Every
 value produced this way is *bit-identical* to ``sorted(history)[rank-1]``
 (property-tested in ``tests/core/test_history_properties.py``).
 
@@ -107,11 +107,6 @@ class HistoryWindow:
         self._merged_end = 0  # buffer index up to which the view is current
         self._resort = False  # too much moved at once: resort wholesale
         self._evicted: List[float] = []  # merged values awaiting deletion
-        # Pre-sorted copy of the pending batch, when a caller supplied one
-        # (the replay engine sorts each epoch's drain batch once for the
-        # whole method bank); None when pending values accumulated item by
-        # item or across several extends.
-        self._presorted: Optional[np.ndarray] = None
         # Cached result of sorted_values(): identical object returned while
         # no mutation intervenes, so repeat readers don't re-slice.
         self._sorted_view: Optional[np.ndarray] = None
@@ -156,28 +151,18 @@ class HistoryWindow:
             self._compact_or_grow()
         self._buf[self._end] = value
         self._end += 1
-        self._presorted = None
         self._sorted_view = None
         if self._max_size is not None and self._end - self._start > self._max_size:
             self._stage_evictions(self._start + 1)
             self._start += 1
 
-    def extend(
-        self, values: Iterable[float], presorted: Optional[np.ndarray] = None
-    ) -> None:
+    def extend(self, values: Iterable[float]) -> None:
         """Append many observations in one vectorized pass.
 
         Equivalent to ``append`` in a loop but O(n) with a single buffer
         copy, which is what makes daemon restarts with months of history
         fast: state loading goes through here, not through per-observation
         appends.
-
-        ``presorted``, when given, must be ``np.sort`` of exactly this
-        batch; the next sorted-view merge then skips re-sorting it.  The
-        replay engine sorts each epoch's drain batch once and hands the
-        result to every predictor's window — the shared-sort pass.  The
-        hint is dropped (never trusted) whenever the pending region does
-        not exactly coincide with this batch.
         """
         if isinstance(values, np.ndarray):
             batch = values.astype(float, copy=False).ravel()
@@ -199,24 +184,12 @@ class HistoryWindow:
             self._merged_end -= self._start
             self._start = 0
             self._end = size
-        lo = max(self._merged_end, self._start)
-        had_pending = lo < self._end
         self._buf[self._end:self._end + n] = batch
         self._end += n
         self._sorted_view = None
-        if had_pending:
-            self._presorted = None
-        elif presorted is not None and presorted.size == n:
-            self._presorted = presorted
-        else:
-            self._presorted = None
         if self._max_size is not None and self._end - self._start > self._max_size:
             new_start = self._end - self._max_size
             self._stage_evictions(new_start)
-            if new_start > self._end - n:
-                # Eviction reached into the batch itself: the pending
-                # region is now a suffix of the batch, not the batch.
-                self._presorted = None
             self._start = new_start
 
     def trim_to_recent(self, k: int) -> None:
@@ -234,9 +207,6 @@ class HistoryWindow:
         self._stage_evictions(new_start)
         self._start = new_start
         self._sorted_view = None
-        # A trim that reaches into the pending batch invalidates any
-        # caller-supplied pre-sorted copy of it (the region is now a suffix).
-        self._presorted = None
 
     def clear(self) -> None:
         self._start = 0
@@ -244,7 +214,6 @@ class HistoryWindow:
         self._merged_end = 0
         self._resort = False
         self._evicted.clear()
-        self._presorted = None
         self._sorted_view = None
         self._sorted_buf = np.empty(0, dtype=float)
         self._sorted_n = 0
@@ -425,7 +394,6 @@ class HistoryWindow:
             self._adopt_sorted(np.sort(window))
             self._resort = False
             self._evicted.clear()
-            self._presorted = None
             self._merged_end = self._end
             return
         lo = max(self._merged_end, self._start)
@@ -436,7 +404,6 @@ class HistoryWindow:
             # see ``_MERGE_CROSSOVER_DENOM``).
             self._adopt_sorted(np.sort(window))
             self._evicted.clear()
-            self._presorted = None
             self._merged_end = self._end
             return
         self._apply_evictions()
@@ -445,12 +412,8 @@ class HistoryWindow:
                 for i in range(lo, self._end):
                     self._insert_sorted_scalar(float(self._buf[i]))
             else:
-                if self._presorted is not None:
-                    batch = self._presorted
-                else:
-                    batch = np.sort(self._buf[lo:self._end])
+                batch = np.sort(self._buf[lo:self._end])
                 sorted_view = self._sorted_buf[:self._sorted_n]
                 positions = np.searchsorted(sorted_view, batch)
                 self._adopt_sorted(np.insert(sorted_view, positions, batch))
-        self._presorted = None
         self._merged_end = self._end

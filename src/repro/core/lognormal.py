@@ -19,9 +19,7 @@ from the retained suffix.  Per-item observations defer their ``log`` to
 the next refit, where the pending values are folded in one vectorized pass
 (scalar ``math.log`` when only one or two are pending, preserving the
 historical accumulation exactly in the common sparse-replay case); batch
-absorption reads the epoch's shared log moments when the replay engine
-provides them, so the Trim and NoTrim variants (and the Weibull log cache,
-at the same shift) split a single ``np.log`` pass.
+absorption folds a whole batch in one ``np.log`` pass.
 """
 
 from __future__ import annotations
@@ -235,30 +233,21 @@ class LogNormalPredictor(QuantilePredictor):
             )
             self._pending.clear()
 
-    def _absorb_batch(self, waits: np.ndarray, shared=None) -> None:
+    def _absorb_batch(self, waits: np.ndarray) -> None:
         """Batch update of the running log-sums (one vectorized pass).
 
         The per-item path accumulates ``math.log`` terms left to right;
         this accumulates ``np.log`` over the batch with a pairwise
         reduction.  The two agree to floating-point roundoff (~1e-15
         relative), far inside the 1e-9 tolerance every bound comparison in
-        the repository uses.  When the replay engine supplies the epoch's
-        shared views, the log moments come from its per-shift memo — the
-        identical reductions, computed once for every consumer at this
-        shift.
+        the repository uses.
         """
         self._fold_pending()
-        if shared is not None:
-            count, total, sumsq = shared.log_moments(self.shift)
-        else:
-            logs = np.log(waits + self.shift)
-            count = int(logs.size)
-            total = float(logs.sum())
-            sumsq = float(np.dot(logs, logs))
-        self._n += count
-        self._sum += total
-        self._sumsq += sumsq
-        super()._absorb_batch(waits, shared)
+        logs = np.log(waits + self.shift)
+        self._n += int(logs.size)
+        self._sum += float(logs.sum())
+        self._sumsq += float(np.dot(logs, logs))
+        super()._absorb_batch(waits)
 
     def _on_history_trimmed(self) -> None:
         """Rebuild the running log-sums from the retained history suffix.

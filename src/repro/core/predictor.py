@@ -34,7 +34,6 @@ from repro.core.changepoint import (
 )
 from repro.core.history import HistoryWindow
 from repro.core.rare_event import RareEventTable, default_rare_event_table
-from repro.core.refit import EpochBatch
 from repro.core.sketch import make_sketch
 from repro.stats.autocorrelation import first_autocorrelation
 
@@ -64,18 +63,13 @@ REFIT_MODES = ("incremental", "recompute")
 #: refit but approximate by contract — see ``docs/verification.md``.
 SKETCH_REFIT_MODES = ("p2", "tdigest")
 
-#: Smallest drain batch worth handing a shared pre-sorted copy to the
-#: window (below this the window folds the batch with scalar inserts and
-#: would ignore the hint).
-_PRESORT_MIN_BATCH = 9
-
 #: ``observe`` implementations whose per-observation side effects are fully
-#: replicated by the owning class's ``_absorb_batch``.  ``observe_batch``
-#: takes its vectorized fast path only for predictors whose (possibly
-#: overridden) ``observe`` is registered here; any other override — e.g. a
-#: test double logging its inputs — transparently falls back to per-item
-#: ``observe`` calls, so batching is an optimization, never a semantic
-#: change.
+#: replicated by the owning class's ``_absorb_batch``.  The batched replay
+#: engine feeds a bank through ``observe_batch`` only when every
+#: predictor's (possibly overridden) ``observe`` is registered here; a bank
+#: with any other override — e.g. a test double logging its inputs — is
+#: replayed by the per-event reference engine, so batching is an
+#: optimization, never a semantic change.
 _BATCH_AWARE_OBSERVE: set = set()
 
 
@@ -92,10 +86,10 @@ def register_batch_aware_observe(observe: Callable) -> None:
 def observe_is_batch_aware(predictor: "QuantilePredictor") -> bool:
     """Whether this predictor's ``observe`` is registered as batch-aware.
 
-    The batched replay engine treats an unregistered override
-    conservatively: its per-observation behaviour (and thus its change-point
-    interaction) cannot be modelled by a vectorized hit/miss scan, so
-    scored drains are replayed per event instead.
+    The replay treats an unregistered override conservatively: its
+    per-observation behaviour (and thus its change-point interaction)
+    cannot be modelled by a vectorized hit/miss scan, so a bank holding
+    one is replayed per event instead.
     """
     return type(predictor).observe in _BATCH_AWARE_OBSERVE
 
@@ -138,17 +132,16 @@ def prefix_kernel(
 
     Returns the bound kernel, or ``None`` when the predictor must be
     replayed event by event: it has a window or a non-incremental refit
-    mode; it already holds history or a quote; its ``observe`` is an
-    unregistered override; or the class that owns its ``_compute_bound``
-    does not also own ``_prefix_bounds`` (a subclass that redefines the
-    bound inherits no kernel for it).
+    mode; it already holds history or a quote; or the class that owns its
+    ``_compute_bound`` does not also own ``_prefix_bounds`` (a subclass
+    that redefines the bound inherits no kernel for it).  (A bank with an
+    unregistered ``observe`` override never reaches the batched engine.)
     """
     if (
         predictor.refit_mode != "incremental"
         or predictor.history.max_size is not None
         or len(predictor.history)
         or predictor.predict() is not None
-        or not observe_is_batch_aware(predictor)
     ):
         return None
     owner = next(
@@ -266,10 +259,7 @@ class QuantilePredictor(ABC):
                 self._on_change_point()
 
     def observe_batch(
-        self,
-        waits: np.ndarray,
-        predicted: Optional[np.ndarray] = None,
-        shared: Optional[EpochBatch] = None,
+        self, waits: np.ndarray, predicted: Optional[np.ndarray] = None
     ) -> None:
         """Absorb many completed waits in one pass; score those with bounds.
 
@@ -284,13 +274,9 @@ class QuantilePredictor(ABC):
         and continues — so quoted-bound provenance, trim indices, and refit
         staleness are bit-identical to the per-item path.
 
-        Predictors that override ``observe`` without registering it via
-        :func:`register_batch_aware_observe` are fed item by item.
-
-        ``shared``, when given, must be an :class:`EpochBatch` wrapping
-        exactly ``waits``: the replay engine builds one per drain batch so
-        the whole method bank shares a single sorted/log/summary view of
-        the epoch's new observations (see :mod:`repro.core.refit`).
+        Only valid on predictors whose ``observe`` is registered with
+        :func:`register_batch_aware_observe`: an unregistered override's
+        extra per-observation work is not replayed here.
         """
         waits = np.asarray(waits, dtype=float)
         n = waits.size
@@ -298,23 +284,12 @@ class QuantilePredictor(ABC):
             return
         if np.any(waits < 0.0):
             raise ValueError("wait times are non-negative")
-        if predicted is not None:
+        scored = None
+        if self.trim and predicted is not None:
             predicted = np.asarray(predicted, dtype=float)
-        if type(self).observe not in _BATCH_AWARE_OBSERVE:
-            for i in range(n):
-                value = None
-                if predicted is not None and not np.isnan(predicted[i]):
-                    value = float(predicted[i])
-                self.observe(float(waits[i]), predicted=value)
-            return
-        detector = self.detector
-        if not self.trim or detector is None or predicted is None:
-            self._absorb_batch(waits, shared)
-            self._observations_since_refit += n
-            return
-        scored = np.flatnonzero(~np.isnan(predicted))
-        if scored.size == 0:
-            self._absorb_batch(waits, shared)
+            scored = np.flatnonzero(~np.isnan(predicted))
+        if scored is None or scored.size == 0:
+            self._absorb_batch(waits)
             self._observations_since_refit += n
             return
         if self.kind is BoundKind.UPPER:
@@ -322,34 +297,15 @@ class QuantilePredictor(ABC):
         else:
             miss = waits[scored] < predicted[scored]
         pos = 0  # next unfed batch index
-        k = 0  # next unscanned index within the scored subsequence
-        carry = detector.current_run
-        while True:
-            fire_k = first_fire_index(miss[k:], carry, detector.threshold)
-            if fire_k is None:
-                if pos < n:
-                    # The shared views describe the *whole* batch; a feed
-                    # split by an earlier fire absorbs slices, which the
-                    # views no longer match.
-                    self._absorb_batch(waits[pos:], shared if pos == 0 else None)
-                    self._observations_since_refit += n - pos
-                detector.restore_run(trailing_run(miss[k:], carry))
+        while pos < n:
+            k = int(np.searchsorted(scored, pos))
+            g = self._absorb_to_fire(waits[pos:], scored[k:] - pos, miss[k:])
+            if g is None:
                 return
-            fire_at = int(scored[k + fire_k])
-            self._absorb_batch(waits[pos:fire_at + 1])
-            self._observations_since_refit += fire_at + 1 - pos
-            detector.mark_change_point()
-            self._on_change_point()
-            pos = fire_at + 1
-            k += fire_k + 1
-            carry = 0
+            pos += g + 1
 
     def feed_scored(
-        self,
-        waits: np.ndarray,
-        scored: np.ndarray,
-        miss: np.ndarray,
-        shared: Optional[EpochBatch] = None,
+        self, waits: np.ndarray, scored: np.ndarray, miss: np.ndarray
     ) -> Optional[int]:
         """Feed a scored batch up to (and including) the first fire.
 
@@ -364,20 +320,7 @@ class QuantilePredictor(ABC):
         is absorbed and ``None`` is returned.  Only valid on batch-aware,
         trimming predictors (see :meth:`observe_batch`).
         """
-        detector = self.detector
-        carry = detector.current_run
-        fire_k = first_fire_index(miss, carry, detector.threshold)
-        if fire_k is None:
-            self._absorb_batch(waits, shared)
-            self._observations_since_refit += waits.size
-            detector.restore_run(trailing_run(miss, carry))
-            return None
-        g = int(scored[fire_k])
-        self._absorb_batch(waits[:g + 1])
-        self._observations_since_refit += g + 1
-        detector.mark_change_point()
-        self._on_change_point()
-        return g
+        return self._absorb_to_fire(waits, scored, miss)
 
     def preload_history(self, waits) -> None:
         """Bulk-load completed waits without scoring them.
@@ -530,21 +473,34 @@ class QuantilePredictor(ABC):
         self._on_history_trimmed()
         self.refit()
 
-    def _absorb_batch(
-        self, waits: np.ndarray, shared: Optional[EpochBatch] = None
-    ) -> None:
+    def _absorb_to_fire(
+        self, waits: np.ndarray, scored: np.ndarray, miss: np.ndarray
+    ) -> Optional[int]:
+        """Absorb ``waits`` up to the first fire; see :meth:`feed_scored`."""
+        detector = self.detector
+        carry = detector.current_run
+        fire_k = first_fire_index(miss, carry, detector.threshold)
+        if fire_k is None:
+            self._absorb_batch(waits)
+            self._observations_since_refit += waits.size
+            detector.restore_run(trailing_run(miss, carry))
+            return None
+        g = int(scored[fire_k])
+        self._absorb_batch(waits[:g + 1])
+        self._observations_since_refit += g + 1
+        detector.mark_change_point()
+        self._on_change_point()
+        return g
+
+    def _absorb_batch(self, waits: np.ndarray) -> None:
         """Fold a batch of completed waits into history (no scoring).
 
         Subclasses that keep running aggregates (the log-normal sums, the
         max-observed extreme) override this to update them in the same
         vectorized pass; the override must leave the predictor in exactly
-        the state a per-item ``observe`` loop would, and should forward
-        ``shared`` (the epoch's memoized batch views) to ``super()``.
+        the state a per-item ``observe`` loop would.
         """
-        if shared is not None and waits.size >= _PRESORT_MIN_BATCH:
-            self.history.extend(waits, presorted=shared.sorted_waits())
-        else:
-            self.history.extend(waits)
+        self.history.extend(waits)
         if self._sketch is not None:
             self._sketch.update_batch(waits)
 

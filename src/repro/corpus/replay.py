@@ -181,7 +181,6 @@ def _replay_unit_compute(
     warmup: int,
     epoch: float,
     methods: Optional[Tuple[str, ...]],
-    engine: Optional[str],
     record_series: bool,
     chunked: bool,
 ) -> Dict[str, Any]:
@@ -202,7 +201,7 @@ def _replay_unit_compute(
         raise RuntimeError("injected corpus.replay.unit fault")
 
     config = _unit_config(warmup, epoch, record_series)
-    results = replay(qview, make_bank(methods or HEADLINE), config, engine=engine)
+    results = replay(qview, make_bank(methods or HEADLINE), config)
     row: Dict[str, Any] = {"methods": {}}
     for name in sorted(results):
         res = results[name]
@@ -230,7 +229,6 @@ def _replay_unit_task(
     warmup: int,
     epoch: float,
     methods: Optional[Tuple[str, ...]],
-    engine: Optional[str],
     record_series: bool,
     chunked: bool,
 ) -> Dict[str, Any]:
@@ -248,7 +246,6 @@ def _replay_unit_task(
         warmup=warmup,
         epoch=epoch,
         methods=methods,
-        engine=engine,
         record_series=record_series,
         chunked=chunked,
     )
@@ -366,7 +363,7 @@ def replay_store(
                          coverage: {quantile, confidence, evaluated,
                                     correct, fraction, wilson_low,
                                     wilson_high, passed}}},
-         provenance: {jobs, cpu_count, engine, split_threshold,
+         provenance: {jobs, cpu_count, split_threshold,
                       cache: {enabled, hits, misses},
                       store: {path, rows, column_sha256},
                       units: [{unit, queue, chunk, rows, warmup, seconds,
@@ -381,15 +378,12 @@ def replay_store(
     path is property-tested against.  ``cache=None`` follows the
     engine-wide setting; a :class:`CorpusView` input (no backing store
     directory) always computes in-process and uncached, since there is
-    no path for workers to re-open nor manifest to key on.  The replay
-    engine is ``$BMBP_REPLAY_ENGINE``'s (default ``batched``), recorded
-    in the provenance and in every unit's cache key.
+    no path for workers to re-open nor manifest to key on.
     """
     from repro import runtime
     from repro.core.bank import HEADLINE, make_bank
     from repro.runtime.cache import corpus_unit_key
     from repro.runtime.engine import Task, resolve_jobs
-    from repro.simulator.replay import _resolve_engine
 
     is_store = isinstance(store, CorpusStore)
     view = store.view() if is_store else store
@@ -402,7 +396,6 @@ def replay_store(
                 f"unknown method(s) {unknown}; bank has {sorted(HEADLINE)}"
             )
         methods_tuple = tuple(sorted(methods))
-    resolved_engine = _resolve_engine(None)
 
     units, skipped = plan_units(
         view,
@@ -422,14 +415,6 @@ def replay_store(
     }
     started = time.perf_counter()
     before = runtime.stats()
-    # Units fill per-process memos (K′ factors, the rare-event table) that
-    # a pool's workers would otherwise each rebuild and drop on every
-    # replay: fill them here, once, for the longest unit, before the
-    # fan-out forks.
-    if units:
-        longest = max(unit.cost for unit in units)
-        for predictor in make_bank(methods_tuple or HEADLINE).values():
-            predictor.prime(longest)
 
     if is_store:
         store_path = str(store.path)
@@ -440,7 +425,6 @@ def replay_store(
         unit_config = {
             "epoch": epoch,
             "methods": list(methods_tuple) if methods_tuple else None,
-            "engine": resolved_engine,
             "record_series": record_series,
         }
         tasks = []
@@ -449,8 +433,7 @@ def replay_store(
             tasks.append(Task(
                 func=_replay_unit_task,
                 args=(store_path, unit.queue, unit.lo, unit.hi, unit.warmup,
-                      epoch, methods_tuple, resolved_engine,
-                      record_series, unit.n_chunks > 1),
+                      epoch, methods_tuple, record_series, unit.n_chunks > 1),
                 label=unit.label,
                 cache_key=corpus_unit_key(
                     site=site,
@@ -464,8 +447,18 @@ def replay_store(
                     config=unit_config,
                 ),
             ))
+
+        def prime() -> None:
+            # Units fill per-process memos (K′ factors, the rare-event
+            # table) that a pool's workers would otherwise each rebuild and
+            # drop on every replay: fill them here, once, for the longest
+            # unit, just before the fan-out forks.
+            longest = max(unit.cost for unit in units)
+            for predictor in make_bank(methods_tuple or HEADLINE).values():
+                predictor.prime(longest)
+
         unit_results = runtime.run_tasks(
-            tasks, jobs=jobs, cache=cache, progress=progress
+            tasks, jobs=jobs, cache=cache, progress=progress, before_fork=prime
         )
         cache_enabled = runtime.engine._cache_active(cache)
     else:
@@ -479,7 +472,6 @@ def replay_store(
                 warmup=unit.warmup,
                 epoch=epoch,
                 methods=methods_tuple,
-                engine=resolved_engine,
                 record_series=record_series,
                 chunked=unit.n_chunks > 1,
             ))
@@ -517,7 +509,6 @@ def replay_store(
     provenance: Dict[str, Any] = {
         "jobs": resolve_jobs(jobs) if is_store else 1,
         "cpu_count": os.cpu_count(),
-        "engine": resolved_engine,
         "split_threshold": split_threshold,
         "cache": {
             "enabled": bool(cache_enabled),

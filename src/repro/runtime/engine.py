@@ -157,8 +157,6 @@ def configure(
     """Set process-wide engine defaults (the CLI's ``--jobs``/``--no-cache``).
 
     ``None`` leaves a setting unchanged at its environment-derived default.
-    The replay engine is not set here: ``BMBP_REPLAY_ENGINE`` selects it,
-    the one channel that reaches both in-process replays and pool workers.
     """
     if jobs is not None:
         _settings.jobs = max(1, int(jobs))

@@ -44,8 +44,10 @@ Two engines implement these semantics:
 * ``"reference"`` — the original per-event loop, kept as the semantic
   oracle (``bmbp verify`` and the engine-identity property tests compare
   against it), as the implementation for ``epoch=0`` (per-event refits have
-  no segments to batch), and as an escape hatch via the
-  ``BMBP_REPLAY_ENGINE`` environment variable.
+  no segments to batch), and for a bank with an ``observe`` override that
+  is not registered as batch-aware (a test double logging its inputs):
+  the batched engine feeds whole drain batches, which such an override
+  would not see one call at a time.
 
 See ``docs/performance.md`` for the kernel design and measured speedups.
 """
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -67,7 +68,6 @@ from repro.core.predictor import (
     observe_is_batch_aware,
     prefix_kernel,
 )
-from repro.core.refit import EpochBatch
 from repro.simulator.results import JobRecord, ReplayResult
 from repro.stats.order_stats import RangeSelect
 from repro.workloads.trace import Trace
@@ -76,9 +76,6 @@ __all__ = ["ENGINES", "ReplayConfig", "replay", "replay_by_queue", "replay_singl
 
 #: Recognized replay engines, in default-preference order.
 ENGINES = ("batched", "reference")
-
-#: Environment variable overriding the default engine (escape hatch).
-ENGINE_ENV_VAR = "BMBP_REPLAY_ENGINE"
 
 #: Drain batches at or below this size are fed with scalar Python instead
 #: of the vectorized ``observe_batch`` path.  On sparse traces (a handful
@@ -138,13 +135,6 @@ def _score(kind: BoundKind, actual: float, predicted: float) -> Tuple[bool, floa
     return correct, ratio
 
 
-def _resolve_engine(engine: Optional[str]) -> str:
-    engine = engine or os.environ.get(ENGINE_ENV_VAR) or ENGINES[0]
-    if engine not in ENGINES:
-        raise ValueError(f"replay engine must be one of {ENGINES}, got {engine!r}")
-    return engine
-
-
 def _make_results(
     trace: Trace, predictors: Dict[str, QuantilePredictor]
 ) -> Dict[str, ReplayResult]:
@@ -171,18 +161,25 @@ def replay(
     method comparison); each is scored independently.  The predictors are
     mutated — pass fresh instances per replay.
 
-    ``engine`` selects the implementation (``"batched"`` or
-    ``"reference"``); when omitted, the ``BMBP_REPLAY_ENGINE`` environment
-    variable decides, defaulting to ``"batched"``.  Both engines produce
-    results that agree to floating-point roundoff (identical counts and
-    change points; bounds within 1e-9 relative).
+    ``engine`` selects the implementation (``"batched"``, the default, or
+    ``"reference"``).  Both engines produce results that agree to
+    floating-point roundoff (identical counts and change points; bounds
+    within 1e-9 relative).  A bank holding an ``observe`` override that is
+    not registered as batch-aware always runs on the reference engine.
 
     Returns a dict keyed like ``predictors`` with one
     :class:`ReplayResult` each.
     """
     config = config or ReplayConfig()
-    engine = _resolve_engine(engine)
-    if engine == "batched" and config.epoch > 0.0 and len(trace) > 0:
+    engine = engine or ENGINES[0]
+    if engine not in ENGINES:
+        raise ValueError(f"replay engine must be one of {ENGINES}, got {engine!r}")
+    if (
+        engine == "batched"
+        and config.epoch > 0.0
+        and len(trace) > 0
+        and all(observe_is_batch_aware(pr) for pr in predictors.values())
+    ):
         return _replay_batched(trace, predictors, config)
     return _replay_reference(trace, predictors, config)
 
@@ -296,9 +293,9 @@ def _replay_reference(
 # per-job loop collapses into per-*segment* work:
 #
 #   1. boundary drain — jobs that started at or before the epoch boundary
-#      are fed in one ``observe_batch`` call per predictor (the batch scan
-#      locates change points at the identical observation a sequential feed
-#      would);
+#      are fed in one ``observe_batch`` call per predictor, or one scalar
+#      ``observe`` per job up to ``_SMALL_BATCH`` (the batch scan locates
+#      change points at the identical observation a sequential feed would);
 #   2. refit + series record, exactly once per boundary;
 #   3. quote assignment — every job in the segment receives the (constant)
 #      refit quote, recorded into a per-predictor quote array;
@@ -316,7 +313,7 @@ def _replay_reference(
 # predictor at the end, reading the quote arrays.  This is legal because
 # ``predict()`` is a pure read — interleaving scoring with drains (as the
 # reference engine does) can only matter when the quote changes mid-segment,
-# which is exactly the fallback case.
+# and step 4 writes the moved quote into the array before anything reads it.
 #
 # Drain order equivalence: the reference engine's pending heap pops jobs in
 # (start_time, index) order, i.e. a stable argsort of start times.  Every
@@ -389,7 +386,6 @@ def _replay_batched(
     observes = [pr.observe for pr in preds]
     is_upper = [pr.kind is BoundKind.UPPER for pr in preds]
     has_trim = [pr.trim and pr.detector is not None for pr in preds]
-    aware = [observe_is_batch_aware(pr) for pr in preds]
     waits_l = waits.tolist()
     order_l = order.tolist()
     start_sorted_l = start_sorted.tolist()
@@ -460,11 +456,8 @@ def _replay_batched(
             else:
                 batch = order[p:a_end]
                 w = waits[batch]
-                # One shared sorted/log/summary view of the epoch's drain
-                # batch feeds the whole bank (see repro.core.refit).
-                shared = EpochBatch(w)
                 for k in range(n_names):
-                    preds[k].observe_batch(w, qarrs[k][batch], shared=shared)
+                    preds[k].observe_batch(w, qarrs[k][batch])
             p = a_end
 
         # 2. Refit + series record, once per boundary.
@@ -514,83 +507,54 @@ def _replay_batched(
         if d_end <= p:
             seg += 1
             continue
-        drained: Optional[np.ndarray] = None
         if d_end - p <= _SMALL_BATCH:
             d_list = order_l[p:d_end]
-            sequential: List[str] = []
             for k in range(n_names):
                 qa = qarrs[k]
                 if has_trim[k]:
-                    if not aware[k]:
-                        # An unregistered ``observe`` override may interact
-                        # with the detector in ways the precheck cannot
-                        # model; stay exact when any drain is scored.
-                        if any(qa[j] == qa[j] for j in d_list):
-                            sequential.append(names[k])
+                    # Scalar change-point precheck: simulate the detector's
+                    # run over the batch without mutating it.
+                    det = preds[k].detector
+                    run = det.current_run
+                    threshold = det.threshold
+                    upper = is_upper[k]
+                    fire = False
+                    for j in d_list:
+                        q = qa.item(j)
+                        if q != q:
                             continue
-                    else:
-                        # Scalar change-point precheck: simulate the
-                        # detector's run over the batch without mutating it.
-                        det = preds[k].detector
-                        run = det.current_run
-                        threshold = det.threshold
-                        upper = is_upper[k]
-                        fire = False
-                        for j in d_list:
-                            q = qa.item(j)
-                            if q != q:
-                                continue
-                            if (waits_l[j] > q) if upper else (waits_l[j] < q):
-                                run += 1
-                                if run >= threshold:
-                                    fire = True
-                                    break
-                            else:
-                                run = 0
-                        if fire:
-                            if drained is None:
-                                drained = order[p:d_end]
-                                w = waits[drained]
-                            _feed_scored_with_fires(
-                                preds[k], qa, drained, w, p, t, start,
-                                start_sorted, lo, hi,
-                            )
-                            continue
+                        if (waits_l[j] > q) if upper else (waits_l[j] < q):
+                            run += 1
+                            if run >= threshold:
+                                fire = True
+                                break
+                        else:
+                            run = 0
+                    if fire:
+                        drained = order[p:d_end]
+                        _feed_scored_with_fires(
+                            preds[k], qa, drained, waits[drained], p, t, start,
+                            start_sorted, lo, hi,
+                        )
+                        continue
                 obs = observes[k]
                 for j in d_list:
                     q = qa.item(j)
                     obs(waits_l[j], None if q != q else q)
-            if sequential:
-                _replay_segment_sequential(
-                    predictors, sequential, quotes, t, waits, order,
-                    start_sorted, p, lo, hi,
-                )
         else:
             drained = order[p:d_end]
             w = waits[drained]
-            shared = EpochBatch(w)
-            sequential = []
             for k in range(n_names):
-                predictor = preds[k]
-                if has_trim[k] and aware[k]:
+                if has_trim[k]:
                     # Single-scan exact feed: splits at change-point fires
                     # and requotes the rest of the segment; no-fire batches
                     # (the common case) cost exactly one hit/miss scan.
                     _feed_scored_with_fires(
-                        predictor, qarrs[k], drained, w, p, t, start,
-                        start_sorted, lo, hi, shared=shared,
+                        preds[k], qarrs[k], drained, w, p, t, start,
+                        start_sorted, lo, hi,
                     )
-                    continue
-                predicted = qarrs[k][drained]
-                if has_trim[k] and not np.all(np.isnan(predicted)):
-                    sequential.append(names[k])
-                    continue
-                predictor.observe_batch(w, predicted, shared=shared)
-            if sequential:
-                _replay_segment_sequential(
-                    predictors, sequential, quotes, t, waits, order,
-                    start_sorted, p, lo, hi,
-                )
+                else:
+                    preds[k].observe_batch(w, qarrs[k][drained])
         p = d_end
         seg += 1
 
@@ -924,7 +888,6 @@ def _feed_scored_with_fires(
     start_sorted: np.ndarray,
     lo: int,
     hi: int,
-    shared: Optional[EpochBatch] = None,
 ) -> None:
     """Feed one predictor's segment drains exactly, splitting at fires.
 
@@ -954,9 +917,7 @@ def _feed_scored_with_fires(
             miss = w_tail[scored] > predicted[scored]
         else:
             miss = w_tail[scored] < predicted[scored]
-        g = predictor.feed_scored(
-            w_tail, scored, miss, shared=shared if pos == 0 else None
-        )
+        g = predictor.feed_scored(w_tail, scored, miss)
         if g is None:
             return
         fire_at = p0 + pos + g  # absolute position of the firing drain
@@ -1032,52 +993,6 @@ def _replay_transition_segment(
                 if value is not None:
                     quotes[name][i] = value
     return p, p_train
-
-
-def _replay_segment_sequential(
-    predictors: Dict[str, QuantilePredictor],
-    names: List[str],
-    quotes: Dict[str, np.ndarray],
-    t: np.ndarray,
-    waits: np.ndarray,
-    order: np.ndarray,
-    start_sorted: np.ndarray,
-    p: int,
-    lo: int,
-    hi: int,
-) -> None:
-    """Exact per-event replay of one post-training segment.
-
-    Used for the predictors whose change-point detector fires mid-segment
-    (the quote moves, so the segment-constant assignment is invalid): their
-    optimistic quotes are overwritten job by job.  The caller's drain
-    pointer is left untouched — the drain chunks recomputed here cover the
-    same contiguous slice the batched feed would have.
-    """
-    preds = [predictors[name] for name in names]
-    observes = [pr.observe for pr in preds]
-    qarrs = [quotes[name] for name in names]
-    n_names = len(preds)
-    # All drain horizons for the segment in one vectorized search; the
-    # zero-wait-tie suffix count is applied per chunk below, only when the
-    # horizon's last start actually equals the draining submit time.
-    h_arr = np.searchsorted(start_sorted, t[lo:hi], side="right").tolist()
-    t_l = t[lo:hi].tolist()
-    for m in range(hi - lo):
-        i = lo + m
-        h = h_arr[m]
-        if h > p and start_sorted[h - 1] == t_l[m]:
-            h -= int(np.count_nonzero(order[p:h] >= i))
-        if h > p:
-            for j in order[p:h].tolist():
-                w = waits[j]
-                for k in range(n_names):
-                    q = qarrs[k][j]
-                    observes[k](w, None if q != q else q)
-            p = h
-        for k in range(n_names):
-            value = preds[k].predict()
-            qarrs[k][i] = np.nan if value is None else value
 
 
 def replay_single(

@@ -119,7 +119,8 @@ def test_http_route_sites_and_404(broker_port):
 
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(f"{base}/nope", timeout=10.0)
-    assert err.value.code == 404
+    with err.value:  # the error holds the response and its socket
+        assert err.value.code == 404
 
 
 def test_http_metrics_is_parseable_prometheus_text(broker_port):

@@ -164,33 +164,6 @@ class TestOrderStatisticMaintenance:
             assert window.rank_value("gated") == expected_gated
         assert set(window.subscriptions()) == {"q95", "gated"}
 
-    @given(
-        batches=st.lists(st.lists(VALUES, min_size=1, max_size=40), max_size=8),
-        trims=st.lists(st.integers(0, 50), max_size=8),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_presorted_hint_never_changes_the_result(self, batches, trims):
-        """Extending with the shared-sort hint (``presorted=np.sort(batch)``,
-        the replay engine's epoch pass) is observably identical to
-        extending without it, including when trims invalidate the hint
-        mid-sequence."""
-        hinted = HistoryWindow()
-        plain = HistoryWindow()
-        model = []
-        for i, batch in enumerate(batches):
-            arr = np.asarray(batch, dtype=float)
-            hinted.extend(arr, presorted=np.sort(arr))
-            plain.extend(arr)
-            model.extend(float(v) for v in batch)
-            if i < len(trims):
-                hinted.trim_to_recent(trims[i])
-                plain.trim_to_recent(trims[i])
-                if trims[i] < len(model):
-                    del model[: len(model) - trims[i]]
-            assert hinted.sorted_values().tolist() == sorted(model)
-            assert plain.sorted_values().tolist() == sorted(model)
-            _check_ranks(hinted, model)
-
 
 class TestEvictionAtScale:
     def test_bounded_window_over_many_compactions(self):

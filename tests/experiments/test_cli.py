@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[2]
 _FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
 _SPAN = re.compile(r"`([^`]+)`")
 _VERB = re.compile(r"(?:\bpython3? -m repro|\bbmbp)\s+([a-z][\w-]*)")
+_ENV = re.compile(r"\bBMBP_[A-Z0-9_]+\b")
 
 
 @pytest.fixture(autouse=True)
@@ -70,7 +71,9 @@ class TestParser:
 
 def test_docs_name_only_real_verbs():
     """Every ``python -m repro <verb>`` / ``bmbp <verb>`` in the docs' code
-    exists: a server subcommand or one of the experiment parser's choices."""
+    exists: a server subcommand or one of the experiment parser's choices.
+    Every ``BMBP_*`` setting the docs and the notes under ``.claude/`` name is
+    read by the program, its benchmarks or perfbench."""
     experiment = next(a for a in build_parser()._actions if a.dest == "experiment")
     verbs = set(SERVER_COMMANDS) | set(experiment.choices)
     docs = [ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "DESIGN.md",
@@ -86,6 +89,19 @@ def test_docs_name_only_real_verbs():
                     unknown.append(f"{doc.relative_to(ROOT)}: {verb}")
     assert mentions > 50, "the scan found too few CLI mentions to mean anything"
     assert not unknown, unknown
+
+    read = set()
+    for tree in ("src", "benchmarks", "perfbench"):
+        for source in (ROOT / tree).rglob("*.py"):
+            read.update(_ENV.findall(source.read_text()))
+    notes = [p for p in sorted((ROOT / ".claude").rglob("*")) if p.is_file()]
+    named = {}
+    for doc in docs + notes:
+        for name in _ENV.findall(doc.read_text()):
+            named.setdefault(name, f"{doc.relative_to(ROOT)}: {name}")
+    assert len(named) >= 5, "the scan found too few settings to mean anything"
+    unread = [where for name, where in named.items() if name not in read]
+    assert not unread, unread
 
 
 class TestMain:

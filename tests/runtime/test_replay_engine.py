@@ -20,6 +20,10 @@ import pytest
 from scipy import stats as sps
 
 from repro.core import rare_event
+from repro.core.predictor import QuantilePredictor
+from repro.corpus.etl import ingest
+from repro.corpus.fixtures import generate_corpus_fixture
+from repro.corpus.replay import replay_store
 from repro.experiments.clustering_eval import run_clustering_eval
 from repro.experiments.parallel import queue_work, run_bin_batch, run_queue_batch
 from repro.experiments.runner import ExperimentConfig, clear_caches, table3_specs
@@ -179,6 +183,41 @@ class TestParentPrime:
         assert run(jobs=2) == [4, 9]  # every task hits the cache
         assert run(jobs=2, cache=False) == [4, 9]  # a pool starts
         assert calls == [{"jobs": 2, "cache": False}]
+
+    @pytest.mark.skipif(not fork_available, reason="needs fork start method")
+    def test_corpus_replay_primes_only_before_a_pool(
+        self, fresh_cache_dir, tmp_path, monkeypatch
+    ):
+        """``replay_store`` fills its bank's tables in the parent only when
+        a pool is about to fork: a serial replay and an all-hits replay do
+        not prime, a 2-worker cold replay primes once (one bank)."""
+        log = tmp_path / "fix.swf.gz"
+        generate_corpus_fixture(log, jobs=3000, seed=13)
+        store, _ = ingest(log, tmp_path / "site", site="prime-site")
+        primed = []
+        original = QuantilePredictor.prime
+
+        def counting(self, max_n):
+            primed.append(max_n)
+            original(self, max_n)
+
+        monkeypatch.setattr(QuantilePredictor, "prime", counting)
+
+        def replayed(**kwargs):
+            primed.clear()
+            report = replay_store(
+                store, methods=["bmbp"], min_queue_jobs=200,
+                split_threshold=800, **kwargs
+            )
+            return report["provenance"]["cache"], len(primed)
+
+        cold, serial = replayed(jobs=1)
+        assert cold["misses"] > 1 and serial == 0
+        warm, hits_only = replayed(jobs=2)
+        assert warm["misses"] == 0 and warm["hits"] == cold["misses"]
+        assert hits_only == 0
+        pooled, pool_primes = replayed(jobs=2, cache=False)
+        assert pooled["misses"] == cold["misses"] and pool_primes == 1
 
     def test_forked_workers_inherit_the_primed_tables(
         self, fresh_cache_dir, monkeypatch

@@ -42,17 +42,22 @@ def daemon(tmp_path):
     process = spawn_daemon(
         state_dir, extra_args=["--training-jobs", "5", "--epoch", "0"]
     )
-    client = ForecastClient("127.0.0.1", read_port_file(state_dir))
-    client.wait_until_up()
-    yield client, state_dir
-    client.close()
-    if process.poll() is None:
-        process.terminate()
+    # A daemon that never comes up still gets stopped.
+    try:
+        client = ForecastClient("127.0.0.1", read_port_file(state_dir))
         try:
-            process.wait(timeout=10.0)
-        except Exception:
-            process.kill()
-            process.wait()
+            client.wait_until_up()
+            yield client, state_dir
+        finally:
+            client.close()
+    finally:
+        if process.poll() is None:
+            process.terminate()
+            try:
+                process.wait(timeout=10.0)
+            except Exception:
+                process.kill()
+                process.wait()
 
 
 def feed_jobs(client, lo, hi, queue="normal", procs=4, gap=400.0):

@@ -107,27 +107,29 @@ class TestHttpReads:
         port = read_port_file(state_dir)
         base = f"http://127.0.0.1:{port}"
 
-        health = json.loads(urllib.request.urlopen(f"{base}/healthz").read())
+        with urllib.request.urlopen(f"{base}/healthz") as response:
+            health = json.loads(response.read())
         assert health["result"]["status"] == "ok"
 
-        forecast = json.loads(
-            urllib.request.urlopen(f"{base}/forecast?queue=normal&procs=4").read()
-        )
+        with urllib.request.urlopen(
+            f"{base}/forecast?queue=normal&procs=4"
+        ) as response:
+            forecast = json.loads(response.read())
         assert forecast["result"]["bound"] == pytest.approx(
             client.forecast("normal", procs=4)
         )
 
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{base}/nope")
-        assert err.value.code == 404
+        with err.value:  # the error holds the response and its socket
+            assert err.value.code == 404
 
     def test_metrics_text_exposition(self, daemon):
         client, state_dir = daemon
         feed_jobs(client, 0, 5)
         port = read_port_file(state_dir)
-        text = urllib.request.urlopen(
-            f"http://127.0.0.1:{port}/metrics"
-        ).read().decode()
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics") as response:
+            text = response.read().decode()
         assert 'bmbp_requests_total{op="submit"} 5' in text
         assert "bmbp_events_journaled_total 10" in text
         assert "bmbp_pending_jobs 0" in text

@@ -31,7 +31,7 @@ from repro.baselines import (
 )
 from repro.core import BMBPPredictor, BoundKind, LogNormalPredictor
 from repro.core.predictor import prefix_kernel
-from repro.simulator.replay import ENGINE_ENV_VAR, ReplayConfig, replay
+from repro.simulator.replay import ReplayConfig, replay
 
 
 def _bank():
@@ -752,13 +752,6 @@ class TestBootstrapKernel:
 
 
 class TestEngineSelection:
-    def test_env_var_escape_hatch(self, monkeypatch, small_trace):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
-        via_env = replay(small_trace, _bank(), ReplayConfig())
-        explicit = replay(small_trace, _bank(), ReplayConfig(), engine="reference")
-        for name in via_env:
-            assert via_env[name].n_correct == explicit[name].n_correct
-
     def test_unknown_engine_rejected(self, small_trace):
         with pytest.raises(ValueError, match="replay engine"):
             replay(small_trace, _bank(), ReplayConfig(), engine="fancy")

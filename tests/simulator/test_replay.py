@@ -14,8 +14,8 @@ from repro.workloads.trace import Job, Trace
 from tests.conftest import make_trace
 
 
-class ConstantPredictor(QuantilePredictor):
-    """Always quotes a fixed bound; records what it observed and when."""
+class FixedBoundPredictor(QuantilePredictor):
+    """Always quotes a fixed bound (the batched engine's loop drives it)."""
 
     name = "constant"
 
@@ -23,14 +23,25 @@ class ConstantPredictor(QuantilePredictor):
         kwargs.setdefault("trim", False)
         super().__init__(**kwargs)
         self.bound = bound
+
+    def _compute_bound(self):
+        return self.bound
+
+
+class ConstantPredictor(FixedBoundPredictor):
+    """A fixed bound that records what it observed and when.
+
+    Its ``observe`` override is not registered as batch-aware, so every
+    replay of a bank holding it runs the per-event reference engine.
+    """
+
+    def __init__(self, bound, **kwargs):
+        super().__init__(bound, **kwargs)
         self.observed = []
 
     def observe(self, wait, predicted=None):
         self.observed.append((wait, predicted))
         super().observe(wait, predicted=predicted)
-
-    def _compute_bound(self):
-        return self.bound
 
 
 class TestBookkeeping:
@@ -101,7 +112,7 @@ class TestScoring:
             warnings.simplefilter("error")
             for engine in ("batched", "reference"):
                 results[engine] = replay_single(
-                    trace, ConstantPredictor(1e-320), engine=engine
+                    trace, FixedBoundPredictor(1e-320), engine=engine
                 )
         batched, reference = results["batched"], results["reference"]
         assert batched.ratios == reference.ratios
@@ -217,6 +228,33 @@ class TestMultiPredictor:
         result = replay_single(trace, BMBPPredictor())
         assert result.fraction_correct >= 0.94
         assert result.miss_threshold is not None
+
+
+class TestUnregisteredObserve:
+    def test_logging_trimming_predictor_matches_the_reference(self, rng):
+        """A trimming bank member with a logging ``observe`` override sees
+        the per-event feed, change points included, under the default
+        engine exactly as under the reference one."""
+        waits = rng.lognormal(mean=3.0, sigma=1.0, size=1500)
+        trace = make_trace(waits, gap=5.0)  # ~60 jobs per 300 s segment
+        bound = float(np.median(waits))
+        config = ReplayConfig(record_series=True)
+        runs = {}
+        for engine in (None, "reference"):
+            bank = {
+                "logged": ConstantPredictor(bound, trim=True),
+                "bmbp": BMBPPredictor(),
+            }
+            runs[engine] = (bank, replay(trace, bank, config, engine=engine))
+        (bank, default), (ref_bank, reference) = runs[None], runs["reference"]
+        assert bank["logged"].observed == ref_bank["logged"].observed
+        assert default["logged"].change_points > 0
+        for name in bank:
+            got, want = default[name], reference[name]
+            assert got.ratios == want.ratios
+            assert (got.n_correct, got.n_skipped) == (want.n_correct, want.n_skipped)
+            assert got.change_points == want.change_points
+            assert got.series_values == want.series_values
 
 
 class TestSeries:
