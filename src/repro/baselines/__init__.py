@@ -4,6 +4,8 @@
   related-work comparison point).
 * :class:`PointQuantilePredictor` — the raw empirical quantile with no
   confidence margin; shows why the margin matters.
+* :class:`P2QuantilePredictor`, :class:`TDigestQuantilePredictor` — the
+  same quantile streamed through a sketch (approximate by contract).
 * :class:`MaxObservedPredictor` — the "astronomically large" strawman from
   Section 5: trivially correct, uselessly inaccurate.
 * :class:`MeanWaitPredictor` — predicting the historical mean, the naive
@@ -15,7 +17,9 @@ from repro.baselines.downey import DowneyLogUniformPredictor
 from repro.baselines.naive import (
     MaxObservedPredictor,
     MeanWaitPredictor,
+    P2QuantilePredictor,
     PointQuantilePredictor,
+    TDigestQuantilePredictor,
 )
 from repro.baselines.weibull import WeibullPredictor
 
@@ -24,6 +28,8 @@ __all__ = [
     "DowneyLogUniformPredictor",
     "MaxObservedPredictor",
     "MeanWaitPredictor",
+    "P2QuantilePredictor",
     "PointQuantilePredictor",
+    "TDigestQuantilePredictor",
     "WeibullPredictor",
 ]

@@ -7,13 +7,10 @@ as the upper bound.  Asymptotically this targets the same object as BMBP's
 order-statistic bound, at ~B times the cost and with no finite-sample
 guarantee — which is exactly the comparison worth making in the ablations.
 
-The legacy algorithm (kept verbatim as the ``recompute`` A/B control)
-materializes the B resample quantiles each refit: a per-resample Beta
-draw for the rank's sampling distribution, a fancy-index into the sorted
-window, and a sort of the B estimates.  The incremental engine replaces
-all of that with a *two-order-statistic draw*: the empirical q-quantile
-of one resample of the sorted window ``s`` is ``s[J]`` where
-``J = ceil(n·G) - 1`` with ``G ~ Beta(rank, n - rank + 1)`` (the classic
+The refit never materializes the B resample quantiles.  It makes a
+*two-order-statistic draw*: the empirical q-quantile of one resample of
+the sorted window ``s`` is ``s[J]`` where ``J = ceil(n·G) - 1`` with
+``G ~ Beta(rank, n - rank + 1)`` (the classic
 order-statistic-of-uniforms identity), and the quoted bound is a fixed
 pair of *order statistics* of the B estimates — and since ``s[J(G)]`` is
 monotone in ``G``, the m-th smallest estimate is the transform of the
@@ -21,11 +18,10 @@ m-th smallest ``G``.  So the refit draws exactly those two:
 ``U_(m) ~ Beta(m, B - m + 1)`` (uniform order statistic), its successor
 from the conditional ``U_(m+1) | U_(m)``, and maps both through the Beta
 inverse CDF in one vectorized ``betaincinv`` call.  Two scalar draws per
-refit replace the B Beta draws and the estimate sort, with exactly the
-distribution of the materialized bootstrap at any ``n_resamples`` — the
-two modes are distributionally identical but draw different realizations,
-so they are compared by a seeded distribution test rather than the
-engine-identity value check.
+refit stand in for B Beta draws and a sort of the estimates, with
+exactly the bound distribution of the materialized bootstrap at any
+``n_resamples``, though not its realizations; the tests hold the two to
+the same distribution with a seeded comparison.
 
 The draws do not depend on the data: every refit with at least 30 waits
 takes one ``beta`` and, when the C-quantile interpolates, one ``random``,
@@ -61,17 +57,6 @@ __all__ = ["BootstrapQuantilePredictor"]
 _MIN_WAITS = 30
 
 
-def _linear_quantile(sorted_values: np.ndarray, q: float) -> float:
-    """``np.quantile(..., interpolation='linear')`` on a pre-sorted array."""
-    n = sorted_values.size
-    position = (n - 1) * q
-    lo = int(position)
-    frac = position - lo
-    if frac == 0.0:
-        return float(sorted_values[lo])
-    return float(sorted_values[lo] * (1.0 - frac) + sorted_values[lo + 1] * frac)
-
-
 class BootstrapQuantilePredictor(QuantilePredictor):
     """Upper/lower bound on a quantile via the percentile bootstrap."""
 
@@ -88,7 +73,6 @@ class BootstrapQuantilePredictor(QuantilePredictor):
         n_resamples: int = 200,
         max_history: int = 4000,
         seed: int = 0,
-        refit_mode: str = "incremental",
     ):
         super().__init__(
             quantile=quantile,
@@ -97,7 +81,6 @@ class BootstrapQuantilePredictor(QuantilePredictor):
             trim=trim,
             trim_length=trim_length,
             rare_event_table=rare_event_table,
-            refit_mode=refit_mode,
         )
         if n_resamples < 10:
             raise ValueError(f"need at least 10 resamples, got {n_resamples}")
@@ -114,7 +97,6 @@ class BootstrapQuantilePredictor(QuantilePredictor):
         position = (n_resamples - 1) * level
         self._m = int(position) + 1  # 1-indexed order statistic of the B
         self._frac = position - (self._m - 1)
-        self._level = level
         # Exponent of the conditional-successor inverse CDF (see
         # ``_compute_bound``), constant per predictor.
         self._succ_exp = 1.0 / (n_resamples - self._m) if self._m < n_resamples else 1.0
@@ -124,26 +106,21 @@ class BootstrapQuantilePredictor(QuantilePredictor):
         # bootstrap resamples is identical (same multiset, same sorted
         # array), but keeping it costs O(new observations) per refit
         # instead of O(n log n).  A change-point trim rebuilds it from the
-        # retained history.  The legacy recompute arm re-sorts instead and
-        # skips the mirror upkeep entirely.
-        self._keep_mirror = refit_mode != "recompute"
+        # retained history.
         self._mirror = HistoryWindow(max_size=max_history)
         self._tape: Optional[_DrawTape] = None
 
     def observe(self, wait: float, predicted: Optional[float] = None) -> None:
-        if self._keep_mirror:
-            self._mirror.append(wait)
+        self._mirror.append(wait)
         super().observe(wait, predicted=predicted)
 
     def _absorb_batch(self, waits: np.ndarray) -> None:
-        if self._keep_mirror:
-            self._mirror.extend(waits)
+        self._mirror.extend(waits)
         super()._absorb_batch(waits)
 
     def _on_history_trimmed(self) -> None:
-        if self._keep_mirror:
-            self._mirror.clear()
-            self._mirror.extend(self.history.arrival_view())
+        self._mirror.clear()
+        self._mirror.extend(self.history.arrival_view())
 
     def _draw(self, rng: np.random.Generator) -> Tuple[float, float]:
         """One refit's draws: ``U_(m)`` and ``U_(m+1)`` (the latter only
@@ -160,16 +137,6 @@ class BootstrapQuantilePredictor(QuantilePredictor):
         if len(self.history) < _MIN_WAITS:
             return None
         rank_of = math.ceil
-        if self.refit_mode == "recompute":
-            # Legacy materialized bootstrap (the tests' reference path):
-            # sort the window, draw all B resample quantiles, sort those.
-            window = np.sort(self.history.arrival_view()[-self.max_history:])
-            n = window.size
-            rank = max(1, rank_of(n * self.quantile))
-            draws = self._rng.beta(rank, n - rank + 1, size=self.n_resamples)
-            idx = np.minimum(np.ceil(draws * n).astype(np.intp) - 1, n - 1)
-            estimates = np.sort(window[idx])
-            return _linear_quantile(estimates, self._level)
         window = self._mirror.sorted_values()
         n = window.size
         rank = max(1, rank_of(n * self.quantile))

@@ -8,11 +8,11 @@ under-covers (no confidence margin); ``MeanWaitPredictor`` is what a user
 eyeballing the queue's average would do and is neither correct nor tight
 for heavy-tailed waits.
 
-``PointQuantilePredictor`` doubles as the host for the streaming-sketch
-bank methods: constructed with ``refit_mode="p2"`` or ``"tdigest"`` it
-quotes a P²/t-digest estimate of the same empirical quantile (reported as
-``p2-quantile``/``tdigest-quantile``), trading the exact order statistic
-for an O(1)-memory, O(1)-refit approximation.
+``P2QuantilePredictor`` and ``TDigestQuantilePredictor`` (the
+``p2-quantile``/``tdigest-quantile`` bank methods) quote a streaming
+P²/t-digest estimate of the same empirical quantile as
+``PointQuantilePredictor``, trading the exact order statistic for an
+O(1)-memory, O(1)-refit approximation.
 """
 
 from __future__ import annotations
@@ -23,14 +23,20 @@ from typing import Optional
 import numpy as np
 
 from repro.core.predictor import (
-    SKETCH_REFIT_MODES,
     BoundKind,
     QuantilePredictor,
     register_batch_aware_observe,
 )
+from repro.core.sketch import P2Quantile, TDigest
 from repro.stats.order_stats import RangeSelect
 
-__all__ = ["MaxObservedPredictor", "MeanWaitPredictor", "PointQuantilePredictor"]
+__all__ = [
+    "MaxObservedPredictor",
+    "MeanWaitPredictor",
+    "P2QuantilePredictor",
+    "PointQuantilePredictor",
+    "TDigestQuantilePredictor",
+]
 
 
 class MaxObservedPredictor(QuantilePredictor):
@@ -99,28 +105,17 @@ class PointQuantilePredictor(QuantilePredictor):
     it below the target: the ablation that shows why BMBP's binomial margin
     is not optional.
 
-    ``refit_mode`` selects how the quantile is served: ``"incremental"``
-    (default) reads the window's maintained sorted view through a rank
-    subscription (bit-identical to sorting, O(new observations) per
-    refit); ``"recompute"`` re-sorts every refit (the tests' reference
-    path); ``"p2"``/``"tdigest"`` stream the estimate through a sketch
-    — those variants report themselves as the ``p2-quantile`` and
-    ``tdigest-quantile`` bank methods.
+    A refit reads the window's maintained sorted view through a rank
+    subscription: bit-identical to sorting, O(new observations) per refit.
     """
 
-    _SKETCH_CAPABLE = True
+    name = "point-quantile"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._rank_key = self.history.subscribe_rank(
             "point-quantile", self._point_rank
         )
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        if self.refit_mode in SKETCH_REFIT_MODES:
-            return f"{self.refit_mode}-quantile"
-        return "point-quantile"
 
     def _point_rank(self, n: int) -> Optional[int]:
         # The point estimate of the q-quantile serves both bound kinds —
@@ -130,14 +125,6 @@ class PointQuantilePredictor(QuantilePredictor):
         return max(1, math.ceil(n * self.quantile))
 
     def _compute_bound(self) -> Optional[float]:
-        n = len(self.history)
-        if n == 0:
-            return None
-        if self.refit_mode in SKETCH_REFIT_MODES:
-            return self._sketch.quantile(self.quantile)
-        if self.refit_mode == "recompute":
-            rank = self._point_rank(n)
-            return float(np.sort(self.history.arrival_view())[rank - 1])
         return self.history.rank_value(self._rank_key)
 
     def _prefix_bounds(
@@ -195,8 +182,6 @@ class MeanWaitPredictor(QuantilePredictor):
     def _compute_bound(self) -> Optional[float]:
         if self._n == 0:
             return None
-        if self.refit_mode == "recompute":
-            return float(self.history.arrival_view().mean())
         return self._sum / self._n
 
     def _prefix_bounds(
@@ -227,6 +212,58 @@ class MeanWaitPredictor(QuantilePredictor):
         return out
 
 
+class _SketchQuantilePredictor(QuantilePredictor):
+    """The empirical q-quantile streamed through a sketch, no margin.
+
+    The sketch sees every observed wait, in order, and a change-point trim
+    rebuilds it from the retained window.  It does not slide with a
+    ``max_history`` window.  Approximate by contract (see
+    :mod:`repro.core.sketch`), so it has no prefix kernel: a replay feeds
+    it event by event.  Subclasses build ``_sketch`` and read it in
+    ``_compute_bound``.
+    """
+
+    def observe(self, wait: float, predicted: Optional[float] = None) -> None:
+        # Before the base feed: a fire there rebuilds the sketch from the
+        # history, this wait included.
+        self._sketch.update(wait)
+        super().observe(wait, predicted=predicted)
+
+    def _absorb_batch(self, waits: np.ndarray) -> None:
+        self._sketch.update_batch(waits)
+        super()._absorb_batch(waits)
+
+    def _on_history_trimmed(self) -> None:
+        self._sketch.reset()
+        self._sketch.update_batch(self.history.arrival_view())
+
+
+class P2QuantilePredictor(_SketchQuantilePredictor):
+    """The q-quantile tracked by P²'s five markers."""
+
+    name = "p2-quantile"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._sketch = P2Quantile(self.quantile)
+
+    def _compute_bound(self) -> Optional[float]:
+        return self._sketch.quantile()
+
+
+class TDigestQuantilePredictor(_SketchQuantilePredictor):
+    """The q-quantile read from a merging t-digest."""
+
+    name = "tdigest-quantile"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._sketch = TDigest()
+
+    def _compute_bound(self) -> Optional[float]:
+        return self._sketch.quantile(self.quantile)
+
+
 def _at_lengths(running: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``running[m - 1]`` for each prefix length ``m``; ``NaN`` for ``m = 0``."""
     out = np.full(lengths.size, np.nan)
@@ -237,3 +274,4 @@ def _at_lengths(running: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 register_batch_aware_observe(MaxObservedPredictor.observe)
 register_batch_aware_observe(MeanWaitPredictor.observe)
+register_batch_aware_observe(_SketchQuantilePredictor.observe)

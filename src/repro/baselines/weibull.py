@@ -7,8 +7,8 @@ there is no tolerance-bound machinery for it here — so it demonstrates a
 *different-family* parametric fit against the log-normal methods.
 
 The fit's sufficient statistics are all reductions over
-``log(wait + shift)``, which makes the refit fully streamable.  In
-incremental mode the predictor maintains, at the last accepted shape k:
+``log(wait + shift)``, which makes the refit fully streamable.  The
+predictor maintains, at the last accepted shape k:
 ``S0 = Σ exp(k·log x)``, ``S1 = Σ log x · exp(k·log x)``, and
 ``Σ log x`` over the fit window, each updated in O(1) per observation
 (one ``math.exp`` plus scalar adds).  The per-element log and exp terms
@@ -28,10 +28,10 @@ change-point trims rebuild the ring from the retained history.
 
 The streamed shape tracks the exact MLE to within the acceptance
 tolerance (default 2e-3 relative — an order of magnitude under the fit's
-~n^-1/2 statistical error at any realistic window), so incremental and
-recompute modes agree statistically but not to machine precision; the
-engine-identity tests hold Weibull to a documented 1e-2 relative band
-rather than the exact tier.
+~n^-1/2 statistical error at any realistic window), so the quotes agree
+with a full :func:`fit_weibull` at every refit statistically but not to
+machine precision; the engine-identity tests hold Weibull to a
+documented 1e-2 relative band rather than the exact tier.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class WeibullPredictor(QuantilePredictor):
         rare_event_table=None,
         shift: float = 1.0,
         max_history: int = 4000,
-        refit_mode: str = "incremental",
     ):
         super().__init__(
             quantile=quantile,
@@ -83,7 +82,6 @@ class WeibullPredictor(QuantilePredictor):
             trim=trim,
             trim_length=trim_length,
             rare_event_table=rare_event_table,
-            refit_mode=refit_mode,
         )
         if shift <= 0.0:
             raise ValueError(f"shift must be positive, got {shift}")
@@ -95,9 +93,6 @@ class WeibullPredictor(QuantilePredictor):
         # order, ``_ring_p`` the matching exp(k·log x) terms at the
         # streaming shape.  ``_pos`` is the next write slot (the oldest
         # entry once the ring is full), ``_count`` the filled length.
-        # The legacy recompute arm re-derives logs inside the fit instead,
-        # so it skips the ring upkeep entirely.
-        self._keep_logs = refit_mode != "recompute"
         self._cap = max_history
         self._ring_l = np.empty(max_history)
         self._ring_p = np.empty(max_history)
@@ -112,73 +107,70 @@ class WeibullPredictor(QuantilePredictor):
         self._slog = 0.0
 
     def observe(self, wait: float, predicted: Optional[float] = None) -> None:
-        if self._keep_logs:
-            log = math.log(wait + self.shift)
-            pos = self._pos
-            cap = self._cap
-            full = self._count == cap
-            k = self._stream_k
-            if k is not None:
-                try:
-                    p = math.exp(k * log)
-                except OverflowError:
-                    # A degenerate fit (all-equal waits) can leave a shape
-                    # whose term overflows: drop the stream and resync from
-                    # the log ring at the next refit, as a batch absorb does.
-                    self._stream_k = k = None
-            if k is not None:
-                if full:
-                    # The slot about to be overwritten is the term that
-                    # slides out of the fit window.
-                    l_old = self._ring_l.item(pos)
-                    p_old = self._ring_p.item(pos)
-                    self._s0 += p - p_old
-                    self._s1 += log * p - l_old * p_old
-                    self._slog += log - l_old
-                else:
-                    self._s0 += p
-                    self._s1 += log * p
-                    self._slog += log
-                self._ring_p[pos] = p
-            self._ring_l[pos] = log
-            self._pos = pos + 1 if pos + 1 < cap else 0
-            if not full:
-                self._count += 1
+        log = math.log(wait + self.shift)
+        pos = self._pos
+        cap = self._cap
+        full = self._count == cap
+        k = self._stream_k
+        if k is not None:
+            try:
+                p = math.exp(k * log)
+            except OverflowError:
+                # A degenerate fit (all-equal waits) can leave a shape
+                # whose term overflows: drop the stream and resync from
+                # the log ring at the next refit, as a batch absorb does.
+                self._stream_k = k = None
+        if k is not None:
+            if full:
+                # The slot about to be overwritten is the term that
+                # slides out of the fit window.
+                l_old = self._ring_l.item(pos)
+                p_old = self._ring_p.item(pos)
+                self._s0 += p - p_old
+                self._s1 += log * p - l_old * p_old
+                self._slog += log - l_old
+            else:
+                self._s0 += p
+                self._s1 += log * p
+                self._slog += log
+            self._ring_p[pos] = p
+        self._ring_l[pos] = log
+        self._pos = pos + 1 if pos + 1 < cap else 0
+        if not full:
+            self._count += 1
         super().observe(wait, predicted=predicted)
 
     def _absorb_batch(self, waits: np.ndarray) -> None:
-        if self._keep_logs:
-            logs = np.log(waits + self.shift)
-            m = logs.size
-            cap = self._cap
-            ring = self._ring_l
-            if m >= cap:
-                ring[:] = logs[-cap:]
-                self._count = cap
-                self._pos = 0
+        logs = np.log(waits + self.shift)
+        m = logs.size
+        cap = self._cap
+        ring = self._ring_l
+        if m >= cap:
+            ring[:] = logs[-cap:]
+            self._count = cap
+            self._pos = 0
+        else:
+            pos = self._pos
+            end = pos + m
+            if end <= cap:
+                ring[pos:end] = logs
+                self._pos = end if end < cap else 0
             else:
-                pos = self._pos
-                end = pos + m
-                if end <= cap:
-                    ring[pos:end] = logs
-                    self._pos = end if end < cap else 0
-                else:
-                    split = cap - pos
-                    ring[pos:] = logs[:split]
-                    ring[: end - cap] = logs[split:]
-                    self._pos = end - cap
-                self._count = min(self._count + m, cap)
-            self._stream_k = None  # resync from the log ring at next refit
+                split = cap - pos
+                ring[pos:] = logs[:split]
+                ring[: end - cap] = logs[split:]
+                self._pos = end - cap
+            self._count = min(self._count + m, cap)
+        self._stream_k = None  # resync from the log ring at next refit
         super()._absorb_batch(waits)
 
     def _on_history_trimmed(self) -> None:
-        if self._keep_logs:
-            values = self.history.arrival_view()[-self._cap :]
-            m = values.size
-            self._ring_l[:m] = np.log(values + self.shift)
-            self._count = m
-            self._pos = m if m < self._cap else 0
-            self._stream_k = None
+        values = self.history.arrival_view()[-self._cap :]
+        m = values.size
+        self._ring_l[:m] = np.log(values + self.shift)
+        self._count = m
+        self._pos = m if m < self._cap else 0
+        self._stream_k = None
 
     def _window_logs(self) -> np.ndarray:
         """The fit window's logs in arrival order, normalizing the ring.
@@ -219,17 +211,6 @@ class WeibullPredictor(QuantilePredictor):
         return max(0.0, fitted.quantile(self.quantile) - self.shift)
 
     def _compute_bound(self) -> Optional[float]:
-        if self.refit_mode == "recompute":
-            # Legacy full-recompute refit (the tests' reference path):
-            # re-derive the logs inside the fit every time.
-            values = self.history.arrival_view()
-            if values.size < 10:
-                return None
-            fitted = fit_weibull(
-                values[-self.max_history :], shift=self.shift, guess=self._last_shape
-            )
-            self._last_shape = fitted.shape
-            return max(0.0, fitted.quantile(self.quantile) - self.shift)
         if self._count < 10:
             return None
         k = self._stream_k

@@ -15,13 +15,7 @@ from repro.core.clustering import AttributeClusterer, ClusteredPredictor
 from repro.core.history import HistoryWindow
 from repro.core.interval import IntervalPredictor, QuantileBank
 from repro.core.lognormal import LogNormalPredictor
-from repro.core.predictor import (
-    REFIT_MODES,
-    SKETCH_REFIT_MODES,
-    BoundKind,
-    Prediction,
-    QuantilePredictor,
-)
+from repro.core.predictor import BoundKind, Prediction, QuantilePredictor
 from repro.core.quantile import (
     QuantileBound,
     bound_rank,
@@ -50,9 +44,7 @@ __all__ = [
     "QuantileBank",
     "QuantileBound",
     "QuantilePredictor",
-    "REFIT_MODES",
     "RareEventTable",
-    "SKETCH_REFIT_MODES",
     "TDigest",
     "binomial_cdf",
     "bound_rank",

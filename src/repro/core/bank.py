@@ -24,7 +24,9 @@ from repro.baselines import (
     DowneyLogUniformPredictor,
     MaxObservedPredictor,
     MeanWaitPredictor,
+    P2QuantilePredictor,
     PointQuantilePredictor,
+    TDigestQuantilePredictor,
     WeibullPredictor,
 )
 from repro.core.bmbp import BMBPPredictor
@@ -47,10 +49,8 @@ _FACTORIES: Dict[str, Callable[[float, float], QuantilePredictor]] = {
     "max-observed": MaxObservedPredictor,
     "mean-wait": MeanWaitPredictor,
     "point-quantile": PointQuantilePredictor,
-    "p2-quantile": lambda q, c: PointQuantilePredictor(q, c, refit_mode="p2"),
-    "tdigest-quantile": lambda q, c: PointQuantilePredictor(
-        q, c, refit_mode="tdigest"
-    ),
+    "p2-quantile": P2QuantilePredictor,
+    "tdigest-quantile": TDigestQuantilePredictor,
 }
 
 SKETCHES: Tuple[str, ...] = ("p2-quantile", "tdigest-quantile")

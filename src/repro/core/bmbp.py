@@ -15,11 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core import binomial
-from repro.core.predictor import (
-    SKETCH_REFIT_MODES,
-    BoundKind,
-    QuantilePredictor,
-)
+from repro.core.predictor import BoundKind, QuantilePredictor
 from repro.core.quantile import bound_rank
 from repro.stats.order_stats import RangeSelect
 
@@ -50,18 +46,13 @@ class BMBPPredictor(QuantilePredictor):
         Optional fixed sliding window: keep only the most recent N
         observations.  An ablation alternative to change-point trimming —
         see the ablations experiment.
-    refit_mode:
-        ``"incremental"`` (default) serves the bound from the history
-        window's incrementally maintained sorted view via a rank
-        subscription — bit-identical to a full re-select, O(new
-        observations) per refit.  ``"recompute"`` re-sorts the window every
-        refit (the legacy path, kept as the tests' reference).
-        ``"p2"``/``"tdigest"`` serve the bound rank's probability from a
-        streaming sketch — O(1) per refit, approximate by contract.
+
+    A refit reads the bound from the history window's incrementally
+    maintained sorted view through a rank subscription: bit-identical to
+    sorting the window and selecting, at O(new observations) per refit.
     """
 
     name = "bmbp"
-    _SKETCH_CAPABLE = True
 
     def __init__(
         self,
@@ -73,7 +64,6 @@ class BMBPPredictor(QuantilePredictor):
         trim_length: Optional[int] = None,
         rare_event_table=None,
         max_history: Optional[int] = None,
-        refit_mode: str = "incremental",
     ):
         super().__init__(
             quantile=quantile,
@@ -83,7 +73,6 @@ class BMBPPredictor(QuantilePredictor):
             trim_length=trim_length,
             rare_event_table=rare_event_table,
             max_history=max_history,
-            refit_mode=refit_mode,
         )
         if method not in ("auto", "exact", "normal"):
             raise ValueError(f"unknown method {method!r}")
@@ -139,28 +128,6 @@ class BMBPPredictor(QuantilePredictor):
         )
 
     def _compute_bound(self) -> Optional[float]:
-        n = len(self.history)
-        if n == 0:
-            return None
-        if self.refit_mode in SKETCH_REFIT_MODES:
-            # Approximate path: quote the sketch's estimate of the bound
-            # rank's empirical probability.  The rank machinery (and thus
-            # the binomial confidence margin) is identical to the exact
-            # path; only the selection is approximate.
-            rank = self._bound_rank(n)
-            if rank is None:
-                return None
-            return self._sketch.quantile(min(1.0 - 1e-12, rank / n))
-        if self.refit_mode == "recompute":
-            # Legacy full-recompute refit (the tests' reference path):
-            # re-sort the window and select.
-            rank = self._bound_rank(n)
-            if rank is None:
-                return None
-            return float(np.sort(self.history.arrival_view())[rank - 1])
-        # Incremental path: the subscription selects through the window's
-        # maintained sorted view — bit-identical to the recompute path,
-        # O(observations since the last read) instead of O(n log n).
         return self.history.rank_value(self._rank_key)
 
     def _prefix_bounds(

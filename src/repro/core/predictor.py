@@ -34,34 +34,16 @@ from repro.core.changepoint import (
 )
 from repro.core.history import HistoryWindow
 from repro.core.rare_event import RareEventTable, default_rare_event_table
-from repro.core.sketch import make_sketch
 from repro.stats.autocorrelation import first_autocorrelation
 
 __all__ = [
     "BoundKind",
     "Prediction",
     "QuantilePredictor",
-    "REFIT_MODES",
-    "SKETCH_REFIT_MODES",
     "observe_is_batch_aware",
     "prefix_kernel",
     "register_batch_aware_observe",
 ]
-
-#: Exact refit strategies every predictor supports: ``"incremental"`` (the
-#: default — maintained windows, running sums, memoized log caches) and
-#: ``"recompute"`` (the legacy full-recompute paths, kept as the
-#: reference the engine-identity and statistical test suites compare the
-#: incremental paths against).  Both produce the same bounds — incremental
-#: order statistics bit-identically, running sums to floating-point
-#: roundoff.
-REFIT_MODES = ("incremental", "recompute")
-
-#: Approximate refit strategies backed by :mod:`repro.core.sketch`; only
-#: predictors whose bound is a plain order statistic opt in (class
-#: attribute ``_SKETCH_CAPABLE``).  Sketch-backed bounds are O(1) per
-#: refit but approximate by contract — see ``docs/verification.md``.
-SKETCH_REFIT_MODES = ("p2", "tdigest")
 
 #: ``observe`` implementations whose per-observation side effects are fully
 #: replicated by the owning class's ``_absorb_batch``.  The batched replay
@@ -99,10 +81,9 @@ def prefix_kernel(
 ) -> Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]:
     """The predictor's prefix kernel, if its quotes depend on the window only.
 
-    Without a sliding window or a sketch, an exact-refit predictor's quote
-    after absorbing the first ``n`` drained waits depends on those waits
-    alone, so a replay can compute every quote it will ever quote in one
-    call.  A change-point trim only moves where the window starts: between
+    Without a sliding window, an exact predictor's quote after absorbing
+    the first ``n`` drained waits depends on those waits alone, so a
+    replay can compute every quote it will ever quote in one call.  A change-point trim only moves where the window starts: between
     two fires each quote is a function of the retained waits
     ``waits[s:n]``, so the same call serves a trimming predictor one fire
     at a time.  A class offers that call as ``_prefix_bounds(waits,
@@ -131,15 +112,15 @@ def prefix_kernel(
     call over all the lengths would.  The other kernels ignore it.
 
     Returns the bound kernel, or ``None`` when the predictor must be
-    replayed event by event: it has a window or a non-incremental refit
-    mode; it already holds history or a quote; or the class that owns its
-    ``_compute_bound`` does not also own ``_prefix_bounds`` (a subclass
-    that redefines the bound inherits no kernel for it).  (A bank with an
-    unregistered ``observe`` override never reaches the batched engine.)
+    replayed event by event: it has a window; it already holds history or
+    a quote; or the class that owns its ``_compute_bound`` does not also
+    own ``_prefix_bounds`` (a subclass that redefines the bound inherits
+    no kernel for it, and the sketch methods and weibull define none).
+    (A bank with an unregistered ``observe`` override never reaches the
+    batched engine.)
     """
     if (
-        predictor.refit_mode != "incremental"
-        or predictor.history.max_size is not None
+        predictor.history.max_size is not None
         or len(predictor.history)
         or predictor.predict() is not None
     ):
@@ -183,11 +164,6 @@ class QuantilePredictor(ABC):
     #: Human-readable method name, overridden by subclasses.
     name = "base"
 
-    #: Whether this predictor's bound can be served by a streaming sketch
-    #: (``refit_mode="p2"``/``"tdigest"``).  Only order-statistic bounds
-    #: qualify; subclasses opt in explicitly.
-    _SKETCH_CAPABLE = False
-
     def __init__(
         self,
         quantile: float = 0.95,
@@ -197,29 +173,11 @@ class QuantilePredictor(ABC):
         trim_length: Optional[int] = None,
         rare_event_table: Optional[RareEventTable] = None,
         max_history: Optional[int] = None,
-        refit_mode: str = "incremental",
     ):
         if not 0.0 < quantile < 1.0:
             raise ValueError(f"quantile must be in (0, 1), got {quantile}")
         if not 0.0 < confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-        if refit_mode in SKETCH_REFIT_MODES:
-            if not type(self)._SKETCH_CAPABLE:
-                raise ValueError(
-                    f"{type(self).__name__} does not support sketch refit "
-                    f"mode {refit_mode!r} (not an order-statistic bound)"
-                )
-        elif refit_mode not in REFIT_MODES:
-            raise ValueError(
-                f"refit_mode must be one of {REFIT_MODES + SKETCH_REFIT_MODES}, "
-                f"got {refit_mode!r}"
-            )
-        self.refit_mode = refit_mode
-        self._sketch = (
-            make_sketch(refit_mode, quantile)
-            if refit_mode in SKETCH_REFIT_MODES
-            else None
-        )
         self.quantile = quantile
         self.confidence = confidence
         self.kind = BoundKind(kind)
@@ -250,8 +208,6 @@ class QuantilePredictor(ABC):
         if wait < 0.0:
             raise ValueError(f"wait times are non-negative, got {wait}")
         self.history.append(wait)
-        if self._sketch is not None:
-            self._sketch.update(wait)
         self._observations_since_refit += 1
         if self.trim and predicted is not None:
             miss = self._is_miss(wait, predicted)
@@ -501,19 +457,9 @@ class QuantilePredictor(ABC):
         the state a per-item ``observe`` loop would.
         """
         self.history.extend(waits)
-        if self._sketch is not None:
-            self._sketch.update_batch(waits)
 
     def _on_history_trimmed(self) -> None:
-        """Hook for subclasses that keep running aggregates over history.
-
-        The base implementation rebuilds the sketch (when a sketch refit
-        mode is active) from the retained window; sketch-capable
-        subclasses overriding this hook must call ``super()``.
-        """
-        if self._sketch is not None:
-            self._sketch.reset()
-            self._sketch.update_batch(self.history.arrival_view())
+        """Hook for subclasses that keep running aggregates over history."""
 
     @abstractmethod
     def _compute_bound(self) -> Optional[float]:

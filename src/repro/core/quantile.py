@@ -87,8 +87,8 @@ def bound_rank(
     The single rank-resolution rule shared by the bound functions below,
     :class:`~repro.core.bmbp.BMBPPredictor`, and the
     :meth:`~repro.core.history.HistoryWindow.subscribe_rank` resolvers the
-    predictors register — one definition, so the incremental refit path
-    and the recompute path cannot drift apart.  Returns ``None`` when no
+    predictors register — one definition, so the predictors' refits and
+    the bound functions cannot drift apart.  Returns ``None`` when no
     rank of ``n`` observations attains the requested level.  The
     underlying binomial searches are memoized, so resolving a rank is an
     O(1) dictionary hit in steady state.

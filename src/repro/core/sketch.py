@@ -3,13 +3,10 @@
 Both estimators answer "what is the q-quantile of everything observed so
 far" in O(1) memory and O(1) (amortized) time per observation — the
 streaming counterpart of the exact order-statistic machinery in
-:mod:`repro.core.history`.  They are wired into the predictors twice:
-
-* as drop-in refit backends (``refit_mode="p2"`` / ``"tdigest"`` on the
-  order-statistic predictors), where a refit becomes a constant-time sketch
-  query instead of a selection over the maintained window; and
-* as standalone bank methods (``p2-quantile``, ``tdigest-quantile``),
-  streaming analogues of the point-quantile baseline.
+:mod:`repro.core.history`.  Each backs one bank method of its own
+(``p2-quantile``, ``tdigest-quantile`` in :mod:`repro.baselines.naive`),
+a streaming analogue of the point-quantile baseline whose refit is a
+constant-time sketch query instead of a selection over the window.
 
 **Approximate by contract.**  Unlike the window order statistics, sketch
 answers are *not* bit-identical to ``sorted(history)[k]`` and carry no
@@ -22,10 +19,7 @@ Both sketches are deterministic functions of the observation sequence, and
 ``update`` loop would (the batched replay engine relies on this).
 
 References: Jain & Chlamtac's P² algorithm (CACM 1985) and Dunning &
-Ertl's t-digest; the P² implementation supports retargeting the tracked
-probability between updates (the "extended P²" usage), which the BMBP
-sketch backend needs because its bound rank is a moving function of the
-window size.
+Ertl's t-digest.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from typing import List, Optional
 
 import numpy as np
 
-__all__ = ["P2Quantile", "TDigest", "make_sketch"]
+__all__ = ["P2Quantile", "TDigest"]
 
 
 class P2Quantile:
@@ -46,10 +40,6 @@ class P2Quantile:
     quantile estimates, and the running maximum; each observation moves at
     most three markers by parabolic (or, degenerately, linear)
     interpolation.  Memory is five floats, update is O(1).
-
-    The tracked probability may be changed between updates with
-    :meth:`set_target` — desired marker positions are recomputed directly
-    from the current count, so markers simply drift toward the new target.
     """
 
     __slots__ = ("p", "_count", "_init", "_q", "_n")
@@ -65,12 +55,6 @@ class P2Quantile:
 
     def __len__(self) -> int:
         return self._count
-
-    def set_target(self, p: float) -> None:
-        """Retarget the tracked probability (takes effect on later updates)."""
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"target probability must be in (0, 1), got {p}")
-        self.p = p
 
     def reset(self) -> None:
         self._count = 0
@@ -106,8 +90,7 @@ class P2Quantile:
             k = 3
         for i in range(k + 1, 5):
             n[i] += 1
-        # Desired positions from the current count (direct form, which is
-        # what makes retargeting p between updates well-defined).
+        # Desired positions, in direct form from the current count.
         count = self._count
         p = self.p
         span = count - 1
@@ -146,42 +129,14 @@ class P2Quantile:
         for x in np.asarray(values, dtype=float).ravel():
             update(x)
 
-    def quantile(self, p: Optional[float] = None) -> Optional[float]:
-        """Current estimate of the ``p``-quantile (default: the target).
-
-        Passing ``p`` also retargets the sketch, and answers by linear
-        interpolation between the markers' current estimated probabilities
-        — exact only at the tracked target, a piecewise guess elsewhere
-        (the drift toward a new target takes effect over later updates).
-        """
+    def quantile(self) -> Optional[float]:
+        """Current estimate of the target ``p``-quantile."""
         if self._count == 0:
-            if p is not None:
-                self.set_target(p)
             return None
         if self._count <= 5:
-            if p is not None:
-                self.set_target(p)
             rank = max(1, min(self._count, math.ceil(self.p * self._count)))
             return self._init[rank - 1]
-        if p is None or p == self.p:
-            return self._q[2]
-        self.set_target(p)
-        return self._interpolate(p)
-
-    def _interpolate(self, p: float) -> float:
-        q, n = self._q, self._n
-        count = self._count
-        probs = [(ni - 1) / (count - 1) if count > 1 else 0.0 for ni in n]
-        if p <= probs[0]:
-            return q[0]
-        for i in range(1, 5):
-            if p <= probs[i]:
-                lo_p, hi_p = probs[i - 1], probs[i]
-                if hi_p == lo_p:
-                    return q[i]
-                frac = (p - lo_p) / (hi_p - lo_p)
-                return q[i - 1] + frac * (q[i] - q[i - 1])
-        return q[4]
+        return self._q[2]
 
 
 #: t-digest scale parameter: larger → more centroids → tighter tails.
@@ -200,9 +155,7 @@ class TDigest:
     care about stay accurate.  Memory is O(δ); amortized update cost is
     the merge pass divided by the buffer size.
 
-    Any quantile can be queried (unlike P²'s fixed markers), which is what
-    the BMBP sketch backend needs: its bound probability ``rank(n)/n``
-    moves with every window size.
+    Any quantile can be queried, unlike P²'s fixed markers.
     """
 
     __slots__ = ("delta", "_means", "_weights", "_buf", "_count", "_min", "_max")
@@ -228,9 +181,6 @@ class TDigest:
         self._count = 0
         self._min = math.inf
         self._max = -math.inf
-
-    def set_target(self, p: float) -> None:
-        """No-op (any quantile is queryable); kept for sketch-API parity."""
 
     def update(self, x: float) -> None:
         x = float(x)
@@ -301,7 +251,12 @@ class TDigest:
         self._weights = np.asarray(out_weights, dtype=float)
 
     def quantile(self, p: float) -> Optional[float]:
-        """Estimate of the ``p``-quantile by centroid interpolation."""
+        """Estimate of the ``p``-quantile by centroid interpolation.
+
+        A Python ``float``, never a numpy scalar: a replay scores jobs
+        against it with plain division, where a numpy scalar warns on
+        overflow (a subnormal quote).
+        """
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile must be in (0, 1), got {p}")
         if self._count == 0:
@@ -319,22 +274,13 @@ class TDigest:
         if target <= cum[0]:
             # Interpolate from the true minimum to the first center.
             frac = target / cum[0]
-            return self._min + frac * (float(means[0]) - self._min)
+            return float(self._min + frac * (float(means[0]) - self._min))
         if target >= cum[-1]:
             span = total - cum[-1]
             frac = (target - cum[-1]) / span if span > 0 else 1.0
-            return float(means[-1]) + frac * (self._max - float(means[-1]))
+            return float(means[-1] + frac * (self._max - float(means[-1])))
         hi = int(np.searchsorted(cum, target))
         lo = hi - 1
         span = cum[hi] - cum[lo]
         frac = (target - cum[lo]) / span if span > 0 else 0.0
         return float(means[lo] + frac * (means[hi] - means[lo]))
-
-
-def make_sketch(kind: str, target: float):
-    """Sketch factory for the ``refit_mode`` plumbing."""
-    if kind == "p2":
-        return P2Quantile(target)
-    if kind == "tdigest":
-        return TDigest()
-    raise ValueError(f"unknown sketch kind {kind!r}")

@@ -58,8 +58,7 @@ class WeibullDistribution:
 #: this fraction of the current shape.  The Newton step approximates the
 #: current iterate's own error, so the accepted shape carries a relative
 #: error of about this much — three-plus orders of magnitude below the
-#: fit's statistical error at any realistic window (~n^-1/2), and both
-#: refit modes run the identical path so A/B agreement is unaffected.
+#: fit's statistical error at any realistic window (~n^-1/2).
 #: Accepting here (instead of iterating the step down to 1e-9) saves one
 #: full profile evaluation per warm refit — a third of the fit's cost at
 #: the replay engine's epoch cadence.

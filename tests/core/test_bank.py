@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.bank import CONFIDENCE, HEADLINE, QUANTILE, SKETCHES, make_bank
-from repro.core.predictor import QuantilePredictor
+from repro.core.predictor import QuantilePredictor, prefix_kernel
 
 VERIFY_REPORT = Path(__file__).resolve().parents[2] / "VERIFY.json"
 
@@ -35,6 +35,15 @@ class TestRegistry:
         assert list(sweep["details"]["fraction_correct"]) == list(
             HEADLINE + SKETCHES
         )
+
+    def test_kernel_capability_per_method(self):
+        # Decided by the class alone: every exact headline method but
+        # weibull has a prefix kernel; weibull's streamed fit and the
+        # approximate sketches are fed event by event.
+        bank = make_bank(HEADLINE + SKETCHES)
+        served = {name for name, p in bank.items() if prefix_kernel(p) is not None}
+        assert served == set(HEADLINE) - {"weibull"}
+        assert len(served) == 8
 
     def test_unknown_name_is_refused(self):
         with pytest.raises(KeyError, match="downey-loguniform"):

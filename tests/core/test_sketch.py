@@ -4,8 +4,8 @@ The sketches are approximate by contract (conformance measures their
 operational error — see ``verify/conformance.py``), so these tests pin the
 *deterministic* guarantees instead: exactness at tiny counts, batch/scalar
 state equivalence (the batched replay engine relies on it), bounded
-memory, retargeting, and the predictor wiring (``refit_mode`` selection,
-capability gating, rebuild-on-trim).
+memory, and the two sketch predictor classes (their names, their feed
+paths, rebuild-on-trim).
 """
 
 from __future__ import annotations
@@ -15,9 +15,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.baselines import MeanWaitPredictor, PointQuantilePredictor
-from repro.core.bmbp import BMBPPredictor
-from repro.core.sketch import P2Quantile, TDigest, make_sketch
+from repro.baselines import P2QuantilePredictor, TDigestQuantilePredictor
+from repro.core.bank import SKETCHES, make_bank
+from repro.core.predictor import observe_is_batch_aware
+from repro.core.sketch import P2Quantile, TDigest
+
+SKETCH_CLASSES = {"p2": P2QuantilePredictor, "tdigest": TDigestQuantilePredictor}
 
 
 class TestP2Quantile:
@@ -57,24 +60,6 @@ class TestP2Quantile:
         assert batched._q == sequential._q
         assert batched._n == sequential._n
 
-    def test_retargeting_drifts_to_new_quantile(self):
-        rng = np.random.default_rng(4)
-        sketch = P2Quantile(0.5)
-        sketch.update_batch(rng.uniform(0.0, 1.0, 10_000))
-        sketch.set_target(0.9)
-        sketch.update_batch(rng.uniform(0.0, 1.0, 50_000))
-        assert sketch.quantile() == pytest.approx(0.9, abs=0.02)
-
-    def test_query_off_target_interpolates(self):
-        rng = np.random.default_rng(5)
-        sketch = P2Quantile(0.5)
-        sketch.update_batch(rng.uniform(0.0, 1.0, 20_000))
-        # A one-off query at a different p answers from the current markers
-        # (a coarse piecewise guess) and retargets for later updates.
-        est = sketch.quantile(0.75)
-        assert 0.5 < est < 1.0
-        assert sketch.p == 0.75
-
     def test_reset(self):
         sketch = P2Quantile(0.9)
         sketch.update_batch(np.arange(100.0))
@@ -86,7 +71,7 @@ class TestP2Quantile:
         with pytest.raises(ValueError):
             P2Quantile(0.0)
         with pytest.raises(ValueError):
-            P2Quantile(0.9).set_target(1.0)
+            P2Quantile(1.0)
 
 
 class TestTDigest:
@@ -101,6 +86,9 @@ class TestTDigest:
         digest.update_batch(values)
         assert digest.quantile(0.5) == pytest.approx(3.0, abs=1.0)
         assert 4.0 <= digest.quantile(0.99) <= 100.0
+        # Both interpolated tails are Python floats, like the middle.
+        for p in (0.05, 0.5, 0.99):
+            assert type(digest.quantile(p)) is float, p
 
     def test_converges_on_uniform_stream(self):
         rng = np.random.default_rng(6)
@@ -166,61 +154,50 @@ class TestTDigest:
             TDigest(delta=5)
 
 
-class TestMakeSketch:
-    def test_kinds(self):
-        assert isinstance(make_sketch("p2", 0.95), P2Quantile)
-        assert isinstance(make_sketch("tdigest", 0.95), TDigest)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="sketch"):
-            make_sketch("histogram", 0.95)
-
-
 class TestPredictorWiring:
     def test_sketch_modes_rename_the_method(self):
-        assert PointQuantilePredictor(refit_mode="p2").name == "p2-quantile"
-        assert PointQuantilePredictor(refit_mode="tdigest").name == "tdigest-quantile"
-        assert PointQuantilePredictor().name == "point-quantile"
+        # Each sketch bank method is its own class, named as the bank
+        # names it.
+        for name, predictor in make_bank(SKETCHES).items():
+            assert predictor.name == name
+        assert P2QuantilePredictor().name == "p2-quantile"
+        assert TDigestQuantilePredictor().name == "tdigest-quantile"
 
-    def test_non_capable_predictor_rejects_sketch_modes(self):
-        with pytest.raises(ValueError, match="sketch"):
-            MeanWaitPredictor(refit_mode="p2")
+    @pytest.mark.parametrize("cls", SKETCH_CLASSES.values(), ids=SKETCH_CLASSES)
+    def test_observe_is_batch_aware(self, cls):
+        # Registered, so the batched engine feeds a bank holding a sketch
+        # in its segment loop instead of sending it to the reference
+        # engine.
+        assert observe_is_batch_aware(cls(0.95, 0.95))
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="refit_mode"):
-            PointQuantilePredictor(refit_mode="lazy")
+    @pytest.mark.parametrize("cls", SKETCH_CLASSES.values(), ids=SKETCH_CLASSES)
+    def test_batch_feed_equals_per_item_feed(self, cls):
+        rng = np.random.default_rng(14)
+        waits = rng.lognormal(3.0, 1.0, 700)
+        predicted = np.where(np.arange(waits.size) % 3 == 0, 1.0, np.nan)
+        batched = cls(0.95, 0.95, trim_length=10)
+        batched.observe_batch(waits, predicted)
+        sequential = cls(0.95, 0.95, trim_length=10)
+        for wait, bound in zip(waits.tolist(), predicted.tolist()):
+            sequential.observe(wait, None if math.isnan(bound) else bound)
+        assert len(batched.history) == len(sequential.history)
+        batched.refit()
+        sequential.refit()
+        assert batched.predict() == sequential.predict()
 
-    @pytest.mark.parametrize("mode", ["p2", "tdigest"])
+    @pytest.mark.parametrize("mode", SKETCH_CLASSES)
     def test_sketch_backed_point_quantile_tracks_exact(self, mode):
         rng = np.random.default_rng(11)
         waits = rng.lognormal(4.0, 1.0, 2_000)
-        sketched = PointQuantilePredictor(0.95, 0.95, refit_mode=mode)
+        sketched = SKETCH_CLASSES[mode](0.95, 0.95)
         sketched.preload_history(waits)
         sketched.refit()
         rank = max(1, math.ceil(waits.size * 0.95))
         exact = float(np.sort(waits)[rank - 1])
         assert sketched.predict() == pytest.approx(exact, rel=0.25)
 
-    @pytest.mark.parametrize("mode", ["p2", "tdigest"])
-    def test_bmbp_sketch_backend_quotes_above_the_point_estimate(self, mode):
-        # BMBP's rank carries the binomial confidence margin, so even the
-        # sketch-served bound should typically sit above the plain
-        # quantile estimate on clean data.
-        rng = np.random.default_rng(12)
-        waits = rng.lognormal(4.0, 1.0, 500)
-        bound = BMBPPredictor(0.95, 0.95, refit_mode=mode)
-        bound.preload_history(waits)
-        bound.refit()
-        point = PointQuantilePredictor(0.95, 0.95, refit_mode=mode)
-        point.preload_history(waits)
-        point.refit()
-        assert bound.predict() is not None
-        assert bound.predict() >= point.predict() * 0.95
-
     def test_sketch_rebuilds_after_change_point_trim(self):
-        predictor = PointQuantilePredictor(
-            0.95, 0.95, trim=True, trim_length=10, refit_mode="tdigest"
-        )
+        predictor = TDigestQuantilePredictor(0.95, 0.95, trim=True, trim_length=10)
         rng = np.random.default_rng(13)
         for w in rng.lognormal(2.0, 0.3, 100):
             predictor.observe(float(w))

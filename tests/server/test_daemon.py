@@ -24,6 +24,14 @@ from repro.server import (
 from tests.server.conftest import feed_jobs
 
 
+def _reap(process):
+    """Kill ``process`` if it still runs (a failed start or wait), then
+    wait for it."""
+    if process.poll() is None:
+        process.kill()
+    process.wait()
+
+
 class TestProtocolSemantics:
     def test_submit_start_forecast_cycle(self, daemon):
         client, _ = daemon
@@ -240,33 +248,35 @@ class TestCrashRecovery:
         process = spawn_daemon(
             state_dir, extra_args=self.EXTRA + ["--drain-timeout", "30.0"]
         )
-        client = ForecastClient("127.0.0.1", read_port_file(state_dir))
-        client.wait_until_up()
-        client.submit("open-job", "q", 1, now=0.0)
-        client.close()
-        time.sleep(0.2)  # let the daemon see the disconnect
-        process.send_signal(signal.SIGTERM)
         try:
+            client = ForecastClient("127.0.0.1", read_port_file(state_dir))
+            client.wait_until_up()
+            client.submit("open-job", "q", 1, now=0.0)
+            client.close()
+            time.sleep(0.2)  # let the daemon see the disconnect
+            process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=15.0) == 0
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+            _reap(process)
 
     def test_sigterm_drains_and_checkpoints(self, tmp_path):
         state_dir = tmp_path / "drain"
         process = spawn_daemon(
             state_dir, extra_args=self.EXTRA + ["--drain-timeout", "1.0"]
         )
-        client = ForecastClient("127.0.0.1", read_port_file(state_dir))
-        client.wait_until_up()
-        client.submit("open-job", "q", 1, now=0.0)
-        client.close()
-        process.send_signal(signal.SIGTERM)
-        # Generous ceiling: the drain itself is bounded by --drain-timeout
-        # (1 s), but a loaded CI machine can stall the final checkpoint
-        # write; 30 s distinguishes "slow box" from "hung shutdown".
-        assert process.wait(timeout=30.0) == 0
+        try:
+            client = ForecastClient("127.0.0.1", read_port_file(state_dir))
+            client.wait_until_up()
+            client.submit("open-job", "q", 1, now=0.0)
+            client.close()
+            process.send_signal(signal.SIGTERM)
+            # Generous ceiling: the drain itself is bounded by
+            # --drain-timeout (1 s), but a loaded CI machine can stall the
+            # final checkpoint write; 30 s distinguishes "slow box" from
+            # "hung shutdown".
+            assert process.wait(timeout=30.0) == 0
+        finally:
+            _reap(process)
         checkpoint = json.loads((state_dir / "checkpoint.json").read_text())
         assert "open-job" in checkpoint["forecaster"]["pending"]
         assert not (state_dir / "server.port").exists()

@@ -14,11 +14,12 @@ small-batch scalar path, and engine selection plumbing.
 from __future__ import annotations
 
 import importlib
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import (
@@ -26,12 +27,16 @@ from repro.baselines import (
     DowneyLogUniformPredictor,
     MaxObservedPredictor,
     MeanWaitPredictor,
+    P2QuantilePredictor,
     PointQuantilePredictor,
+    TDigestQuantilePredictor,
     WeibullPredictor,
 )
 from repro.core import BMBPPredictor, BoundKind, LogNormalPredictor
 from repro.core.predictor import prefix_kernel
+from repro.core.quantile import bound_rank
 from repro.simulator.replay import ReplayConfig, replay
+from repro.stats.weibull import fit_weibull
 
 
 def _bank():
@@ -103,6 +108,15 @@ _BANDED = {"weibull": 1e-2}
 def _kernel_bank():
     """Only kernel-served predictors: the segment loop drives none."""
     return {name: pr for name, pr in _bank().items() if name in _KERNEL_SERVED}
+
+
+def _sketch_bank():
+    """The two sketch methods, trimming often, and one without a detector."""
+    return {
+        "p2": P2QuantilePredictor(trim_length=4),
+        "p2-notrim": P2QuantilePredictor(trim=False),
+        "tdigest": TDigestQuantilePredictor(trim_length=4),
+    }
 
 
 def _paper_bank():
@@ -270,19 +284,16 @@ class TestPrefixKernels:
         assert prefix_kernel(MaxObservedPredictor(trim=True)) is not None
         assert prefix_kernel(BMBPPredictor()) is not None
         assert prefix_kernel(Overridden(trim=False)) is None
-        assert prefix_kernel(
-            MeanWaitPredictor(trim=False, refit_mode="recompute")
-        ) is None
-        assert prefix_kernel(
-            PointQuantilePredictor(trim=False, refit_mode="p2")
-        ) is None
+        # The test oracles redefine the bound, so they inherit no kernel.
+        assert prefix_kernel(_ResortBMBP()) is None
+        assert prefix_kernel(_ResortMeanWait(trim=False)) is None
+        # No kernel: the sketch methods are approximate by contract.
+        assert prefix_kernel(P2QuantilePredictor(trim=False)) is None
+        assert prefix_kernel(TDigestQuantilePredictor()) is None
         assert prefix_kernel(BMBPPredictor(max_history=16)) is None
         # The bootstrap's draws come from a tape; only its mirror is
         # bounded, not its history.
         assert prefix_kernel(BootstrapQuantilePredictor()) is not None
-        assert prefix_kernel(
-            BootstrapQuantilePredictor(refit_mode="recompute")
-        ) is None
         # No kernel: a path-dependent streamed fit.
         assert prefix_kernel(WeibullPredictor()) is None
         used = MeanWaitPredictor(trim=False)
@@ -327,6 +338,19 @@ class TestEngineIdentityProperty:
         config = ReplayConfig(training_fraction=training, record_series=True)
         _assert_identical(trace, config, make_bank=_kernel_bank)
 
+    @settings(max_examples=30, deadline=None)
+    @given(jobs=JOBS, training=st.sampled_from([0.0, 0.3]))
+    # A subnormal t-digest quote, scored against a later wait of 1.
+    @example(jobs=[(0.0, 0.0), (0.0, 2.225073858507203e-309), (1.0, 0.0),
+                   (0.0, 0.0), (0.0, 1.0)], training=0.3)
+    def test_sketch_methods(self, jobs, training):
+        # Loop-bound through a registered observe: the segment loop's
+        # batch feeds, fire splits and trim rebuilds must leave each
+        # sketch exactly where per-event feeding does.
+        trace = _make_trace([g for g, _ in jobs], [w for _, w in jobs])
+        config = ReplayConfig(training_fraction=training, record_series=True)
+        _assert_identical(trace, config, make_bank=_sketch_bank, served=set())
+
     @settings(max_examples=15, deadline=None)
     @given(jobs=JOBS)
     def test_epoch_zero_uses_reference_semantics(self, jobs):
@@ -336,36 +360,106 @@ class TestEngineIdentityProperty:
         _assert_identical(trace, ReplayConfig(epoch=0.0, record_series=True))
 
 
-def _mode_bank(refit_mode):
-    """Every predictor whose two refit modes compute the *same* answer.
+class _ResortBMBP(BMBPPredictor):
+    """Oracle: sort the window and select the rank the shared resolver
+    gives, at every refit."""
 
-    The short trim length and sliding window force the maintained sorted
-    views through evictions and change-point trims, not just appends.
-    Weibull (streamed sufficient statistics with a tolerance-gated
-    acceptance) and bootstrap (two-order-statistic draw vs materialized
-    resamples) run genuinely different algorithms per mode, so they are
-    covered by the statistical-equivalence tests below instead.
-    """
+    def _compute_bound(self):
+        n = len(self.history)
+        side = "upper" if self.kind is BoundKind.UPPER else "lower"
+        rank = bound_rank(n, self.quantile, self.confidence, side, self.method)
+        if rank is None:
+            return None
+        return float(np.sort(self.history.arrival_view())[rank - 1])
+
+
+class _ResortPointQuantile(PointQuantilePredictor):
+    """Oracle: sort the window and select ``ceil(n q)`` at every refit."""
+
+    def _compute_bound(self):
+        n = len(self.history)
+        if n == 0:
+            return None
+        rank = max(1, math.ceil(n * self.quantile))
+        return float(np.sort(self.history.arrival_view())[rank - 1])
+
+
+class _ResortMeanWait(MeanWaitPredictor):
+    """Oracle: a fresh ``mean()`` over the window at every refit."""
+
+    def _compute_bound(self):
+        if len(self.history) == 0:
+            return None
+        return float(self.history.arrival_view().mean())
+
+
+class _FullFitWeibull(WeibullPredictor):
+    """Oracle: a full warm ``fit_weibull`` over the fit window at every
+    refit, without the streamed sums' acceptance gate."""
+
+    def _compute_bound(self):
+        values = self.history.arrival_view()
+        if values.size < 10:
+            return None
+        fitted = fit_weibull(
+            values[-self.max_history:], shift=self.shift, guess=self._last_shape
+        )
+        self._last_shape = fitted.shape
+        return max(0.0, fitted.quantile(self.quantile) - self.shift)
+
+
+def _materialized_bootstrap_bounds(window, refits, seed, quantile=0.95,
+                                   confidence=0.95, n_resamples=200):
+    """Oracle: ``refits`` upper bounds of a percentile bootstrap that draws
+    all ``n_resamples`` resample q-quantiles of the frozen ``window`` (one
+    Beta draw of each resample's rank) and quotes their C-quantile."""
+    rng = np.random.default_rng(seed)
+    window = np.sort(window)
+    n = window.size
+    rank = max(1, math.ceil(n * quantile))
+    bounds = []
+    for _ in range(refits):
+        draws = rng.beta(rank, n - rank + 1, size=n_resamples)
+        idx = np.minimum(np.ceil(draws * n).astype(np.intp) - 1, n - 1)
+        bounds.append(np.quantile(window[idx], confidence))
+    return np.asarray(bounds)
+
+
+def _oracle_bank(oracle):
+    """The order-statistic and mean-wait predictors, or their resorting
+    oracles.  The short trim length and sliding window force the
+    maintained sorted views through evictions and change-point trims,
+    not just appends.  BMBP at .95/.95 quotes nothing below 59 waits, so
+    two looser BMBPs (an upper and a lower bound) also quote on the
+    property test's short traces."""
+    bmbp, point, mean_wait = (
+        (_ResortBMBP, _ResortPointQuantile, _ResortMeanWait) if oracle
+        else (BMBPPredictor, PointQuantilePredictor, MeanWaitPredictor)
+    )
     return {
-        "bmbp-trim": BMBPPredictor(trim=True, trim_length=4, refit_mode=refit_mode),
-        "bmbp-window": BMBPPredictor(
-            trim=False, max_history=16, refit_mode=refit_mode
+        "bmbp-trim": bmbp(trim=True, trim_length=4),
+        "bmbp-window": bmbp(trim=False, max_history=16),
+        "bmbp-median": bmbp(quantile=0.5, confidence=0.9, trim_length=4),
+        "bmbp-lower-window": bmbp(
+            quantile=0.5, kind=BoundKind.LOWER, trim=False, max_history=16
         ),
-        "point": PointQuantilePredictor(refit_mode=refit_mode),
-        "mean-wait": MeanWaitPredictor(refit_mode=refit_mode),
+        "point": point(),
+        "mean-wait": mean_wait(),
     }
 
 
-#: Methods whose incremental refit is *bit-identical* to recompute (the
-#: order-statistic exactness tier); the rest agree to float roundoff.
-_EXACT_MODE_METHODS = {"bmbp-trim", "bmbp-window", "point"}
+#: Methods whose refit is *bit-identical* to the resorting oracle (the
+#: order-statistic exactness tier); mean-wait agrees to float roundoff.
+_EXACT_ORACLE_METHODS = {
+    "bmbp-trim", "bmbp-window", "bmbp-median", "bmbp-lower-window", "point"
+}
 
 
 class TestRefitModeIdentity:
-    """``refit_mode="incremental"`` (maintained views, rank subscriptions,
-    log caches, running sums) against ``"recompute"`` (the legacy
-    sort-per-refit paths): same bounds, same outcomes, same change points.
-    Order-statistic methods must match bit for bit."""
+    """The incremental refits (maintained views, rank subscriptions,
+    running sums, prefix kernels) against recompute oracles that sort (or
+    average) the window at every refit: same bounds, same outcomes, same
+    change points.  Order-statistic methods must match bit for bit."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -376,8 +470,8 @@ class TestRefitModeIdentity:
     def test_incremental_matches_recompute(self, jobs, epoch, engine):
         trace = _make_trace([g for g, _ in jobs], [w for _, w in jobs])
         config = ReplayConfig(epoch=epoch, record_series=True)
-        incremental = replay(trace, _mode_bank("incremental"), config, engine=engine)
-        recompute = replay(trace, _mode_bank("recompute"), config, engine=engine)
+        incremental = replay(trace, _oracle_bank(False), config, engine=engine)
+        recompute = replay(trace, _oracle_bank(True), config, engine=engine)
         assert set(incremental) == set(recompute)
         for name in incremental:
             a, b = incremental[name], recompute[name]
@@ -389,7 +483,7 @@ class TestRefitModeIdentity:
             sb = np.asarray(b.series_values, dtype=float)
             assert np.array_equal(np.isnan(sa), np.isnan(sb)), name
             ok = ~np.isnan(sb)
-            if name in _EXACT_MODE_METHODS:
+            if name in _EXACT_ORACLE_METHODS:
                 assert np.array_equal(sa[ok], sb[ok]), name
             else:
                 np.testing.assert_allclose(sa[ok], sb[ok], rtol=1e-9, err_msg=name)
@@ -404,10 +498,10 @@ class TestRefitModeIdentity:
         waits = np.concatenate([calm, burst, calm[:40]])
         trace = _make_trace(np.full(waits.size, 30.0), waits)
         config = ReplayConfig(record_series=True)
-        incremental = replay(trace, _mode_bank("incremental"), config)
-        recompute = replay(trace, _mode_bank("recompute"), config)
+        incremental = replay(trace, _oracle_bank(False), config)
+        recompute = replay(trace, _oracle_bank(True), config)
         assert incremental["bmbp-trim"].change_points > 0
-        for name in _EXACT_MODE_METHODS:
+        for name in _EXACT_ORACLE_METHODS:
             sa = np.asarray(incremental[name].series_values, dtype=float)
             sb = np.asarray(recompute[name].series_values, dtype=float)
             assert np.array_equal(np.isnan(sa), np.isnan(sb)), name
@@ -416,26 +510,26 @@ class TestRefitModeIdentity:
 
 
 class TestModeEquivalenceStatistical:
-    """Weibull and bootstrap run different *algorithms* per refit mode;
-    their contract is statistical agreement, not value identity."""
+    """Weibull's streamed fit and the bootstrap's two-order-statistic draw
+    run different *algorithms* from their oracles; their contract is
+    statistical agreement, not value identity."""
 
     def test_weibull_streamed_fit_tracks_the_full_fit(self):
         # The streamed sufficient statistics accept the standing shape only
         # while the implied Newton step stays under 2e-3 of it, so every
         # quoted bound must sit within a small relative band of the
-        # recompute (full-fit-every-refit) bound over a long replay.
-        from repro.baselines import WeibullPredictor
-
+        # full-fit-every-refit bound over a long replay.
         rng = np.random.default_rng(11)
         waits = rng.lognormal(3.0, 0.8, 3000)
         trace = _make_trace(np.full(waits.size, 400.0), waits)
         config = ReplayConfig(record_series=True)
         out = {}
-        for mode in ("incremental", "recompute"):
-            bank = {"weibull": WeibullPredictor(max_history=500, refit_mode=mode)}
-            out[mode] = replay(trace, bank, config, engine="batched")["weibull"]
-        sa = np.asarray(out["incremental"].series_values, dtype=float)
-        sb = np.asarray(out["recompute"].series_values, dtype=float)
+        for label, cls in (("streamed", WeibullPredictor),
+                           ("full-fit", _FullFitWeibull)):
+            bank = {"weibull": cls(max_history=500)}
+            out[label] = replay(trace, bank, config, engine="batched")["weibull"]
+        sa = np.asarray(out["streamed"].series_values, dtype=float)
+        sb = np.asarray(out["full-fit"].series_values, dtype=float)
         assert np.array_equal(np.isnan(sa), np.isnan(sb))
         ok = ~np.isnan(sb)
         assert ok.sum() > 1000  # the stream actually ran, at scale
@@ -444,25 +538,16 @@ class TestModeEquivalenceStatistical:
         assert rel.mean() < 2e-3
 
     def test_bootstrap_two_draw_matches_materialized_distribution(self):
-        # Same frozen window, many refits per mode: the two-order-statistic
-        # draw must reproduce the materialized bootstrap's bound
+        # Same frozen window, many refits: the two-order-statistic draw
+        # must reproduce the materialized bootstrap's bound
         # *distribution* (same mean and spread), not its realizations.
-        from repro.baselines import BootstrapQuantilePredictor
-
         rng = np.random.default_rng(29)
         window = rng.lognormal(3.0, 1.0, 600)
-        samples = {}
-        for mode, seed in (("incremental", 1), ("recompute", 2)):
-            predictor = BootstrapQuantilePredictor(
-                trim=False, seed=seed, refit_mode=mode
-            )
-            for wait in window:
-                predictor.observe(float(wait))
-            draws = []
-            for _ in range(800):
-                draws.append(predictor._compute_bound())
-            samples[mode] = np.asarray(draws, dtype=float)
-        a, b = samples["incremental"], samples["recompute"]
+        predictor = BootstrapQuantilePredictor(trim=False, seed=1)
+        for wait in window:
+            predictor.observe(float(wait))
+        a = np.asarray([predictor._compute_bound() for _ in range(800)])
+        b = _materialized_bootstrap_bounds(window, 800, seed=2)
         assert abs(a.mean() - b.mean()) / b.mean() < 0.02
         assert abs(a.std() - b.std()) / b.mean() < 0.02
         for q in (0.1, 0.5, 0.9):

@@ -2,9 +2,12 @@
 
 ``bmbp verify --fast --json VERIFY.json`` writes the report; nothing
 reruns it when a check, a golden fixture or a fault scenario is added.
-These tests read the committed report without running any check and
+Most tests here read the committed report without running any check and
 fail when it no longer lists what the registries would run, so a stale
-report shows up in the suite instead of going unnoticed.
+report shows up in the suite instead of going unnoticed.  Two cheap,
+deterministic conformance checks are rerun at the fast tier and held to
+their committed details, which pins every bank method's replay outcome
+and both sketches' estimates.
 """
 
 import json
@@ -46,3 +49,16 @@ class TestCommittedReport:
         fixtures = _check(committed, "golden/regression")["details"]["fixtures"]
         pinned = sorted(p.name for p in golden.golden_dir().glob("golden-*.json"))
         assert fixtures == pinned
+
+    @pytest.mark.parametrize(
+        "name", ["baseline-sweep", "sketch-quantile-accuracy"]
+    )
+    def test_deterministic_details_match_a_rerun(self, committed, name):
+        # Seeded and free of scheduling: a rerun must reproduce the
+        # committed details exactly (only ``seconds`` may differ).
+        entry = _check(committed, f"conformance/{name}")
+        tier = conformance.TIERS[committed["tier"]]
+        assert tier.seed == committed["seed"]
+        passed, details = conformance.run_check(name, tier)
+        assert passed == entry["passed"]
+        assert details == entry["details"]
