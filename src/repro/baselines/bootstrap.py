@@ -190,7 +190,7 @@ class BootstrapQuantilePredictor(QuantilePredictor):
         out[quoted] = order_stat(g) * (1.0 - frac) + order_stat(g2) * frac
         return out
 
-    def settle_prefix_refits(self, quoted: int) -> None:
+    def settle_prefix_refits(self, quoted: int, carry: dict) -> None:
         """Advance the generator past ``quoted`` refits' draws, as the
         per-event refits would have, and drop the tape."""
         if self._tape is not None:

@@ -47,11 +47,11 @@ __all__ = [
 
 #: ``observe`` implementations whose per-observation side effects are fully
 #: replicated by the owning class's ``_absorb_batch``.  The batched replay
-#: engine feeds a bank through ``observe_batch`` only when every
-#: predictor's (possibly overridden) ``observe`` is registered here; a bank
-#: with any other override — e.g. a test double logging its inputs — is
-#: replayed by the per-event reference engine, so batching is an
-#: optimization, never a semantic change.
+#: engine serves a predictor from its prefix kernel, calling no
+#: ``observe`` at all, only when its (possibly overridden) ``observe`` is
+#: registered here; one with any other override — e.g. a test double
+#: logging its inputs — is replayed by the per-event reference engine, so
+#: batching is an optimization, never a semantic change.
 _BATCH_AWARE_OBSERVE: set = set()
 
 
@@ -70,8 +70,8 @@ def observe_is_batch_aware(predictor: "QuantilePredictor") -> bool:
 
     The replay treats an unregistered override conservatively: its
     per-observation behaviour (and thus its change-point interaction)
-    cannot be modelled by a vectorized hit/miss scan, so a bank holding
-    one is replayed per event instead.
+    cannot be modelled by a prefix kernel, so such a predictor is
+    replayed per event instead.
     """
     return type(predictor).observe in _BATCH_AWARE_OBSERVE
 
@@ -83,7 +83,10 @@ def prefix_kernel(
 
     Without a sliding window, an exact predictor's quote after absorbing
     the first ``n`` drained waits depends on those waits alone, so a
-    replay can compute every quote it will ever quote in one call.  A change-point trim only moves where the window starts: between
+    replay can compute every quote it will ever quote in one call.
+    (Weibull's also depends on the shapes its earlier refits fitted,
+    which its kernel follows through the same refits; it matches the
+    per-item feed to roundoff, not bit for bit.)  A change-point trim only moves where the window starts: between
     two fires each quote is a function of the retained waits
     ``waits[s:n]``, so the same call serves a trimming predictor one fire
     at a time.  A class offers that call as ``_prefix_bounds(waits,
@@ -109,15 +112,19 @@ def prefix_kernel(
     whose running sums depend on how waits were grouped between refits
     (log-normal, mean-wait) leaves them there, and the next call adds on
     from them rather than from ``window``, performing the additions one
-    call over all the lengths would.  The other kernels ignore it.
+    call over all the lengths would.  Weibull keeps its fitted shape
+    there; the first call over a window a fire trimmed finds the old
+    window's carry under ``"before"`` and the fire's position in it under
+    ``"at"``, and starts from the shape its refits up to ``at`` left.  The
+    other kernels ignore it.
 
     Returns the bound kernel, or ``None`` when the predictor must be
     replayed event by event: it has a window; it already holds history or
     a quote; or the class that owns its ``_compute_bound`` does not also
     own ``_prefix_bounds`` (a subclass that redefines the bound inherits
-    no kernel for it, and the sketch methods and weibull define none).
-    (A bank with an unregistered ``observe`` override never reaches the
-    batched engine.)
+    no kernel for it, and the sketch methods define none).  (A predictor
+    with an unregistered ``observe`` override is replayed event by event
+    whatever its kernel.)
     """
     if (
         predictor.history.max_size is not None
@@ -397,13 +404,15 @@ class QuantilePredictor(ABC):
         self._current = current
         self._observations_since_refit = max(0, int(since_refit))
 
-    def settle_prefix_refits(self, quoted: int) -> None:
-        """Leave per-refit state where ``quoted`` quoting refits leave it.
+    def settle_prefix_refits(self, quoted: int, carry: dict) -> None:
+        """Leave per-refit state where the replay's refits leave it.
 
         A replay that served this predictor from its prefix kernel calls
-        this once, with the number of refits on its path that quoted a
-        bound.  Only a predictor whose refits consume state beyond the
-        history (the bootstrap's random stream) has anything to settle.
+        this once, after restoring the history and the quote, with the
+        number of refits on its path that quoted a bound and the
+        ``carry`` its last kernel call left.  Only a predictor whose
+        refits keep state beyond the history and the quote has anything
+        to settle: the bootstrap's random stream, weibull's fitted shape.
         """
 
     @property

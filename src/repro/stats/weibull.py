@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
 
-__all__ = ["WeibullDistribution", "fit_weibull"]
+__all__ = ["WeibullDistribution", "fit_weibull", "newton_shape"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,61 @@ class WeibullDistribution:
 _NEWTON_STEP_TOL = 1e-5
 
 
+def newton_shape(
+    logs: np.ndarray,
+    guess: float,
+    sums: Optional[Tuple[float, float, float]] = None,
+) -> Optional[Tuple[float, float, float, float]]:
+    """Warm-started Newton solve of the profile equation over ``logs``.
+
+    ``logs`` are the fit window's ``log(value + shift)``.  Each step
+    evaluates ``S0 = Σ exp(k·l)``, ``S1 = Σ l·exp(k·l)`` and
+    ``S2 = Σ l²·exp(k·l)`` at the iterate k: the profile equation is
+    ``g = S1/S0 − 1/k − mean(l)`` and its derivative
+    ``g' = (S2·S0 − S1²)/S0² + 1/k²``.  ``sums``, when given, are
+    ``(S0, S1, S2)`` at ``guess``, so the first step costs no pass over
+    the window.  An iterate whose step falls below ``_NEWTON_STEP_TOL`` of
+    it is accepted together with its own sums, returned as
+    ``(k, S0, S1, S2)``.  Returns ``None`` when an iterate leaves the
+    valid shape range, a sum overflows, or twelve steps do not settle.
+    """
+    lo, hi = 1e-3, 512.0
+    if not lo < guess < hi:
+        return None
+    # Same pairwise reduction as ``logs.mean()`` without the method's
+    # dispatch overhead (this runs once per refit, every epoch).
+    log_mean = float(np.add.reduce(logs)) / logs.size
+    logs2 = logs * logs
+    powered = np.empty_like(logs)
+    k = float(guess)
+    for _ in range(12):
+        if sums is None:
+            # exp(k * log x) is x**k with one vector multiply instead of a
+            # per-element pow.
+            np.multiply(logs, k, out=powered)
+            with np.errstate(over="ignore"):
+                np.exp(powered, out=powered)
+            s0 = float(powered.sum())
+            s1 = float(np.dot(powered, logs))
+            s2 = float(np.dot(powered, logs2))
+        else:
+            s0, s1, s2 = sums
+            sums = None
+        if not s0 > 0.0:  # every term underflowed
+            return None
+        g = s1 / s0 - 1.0 / k - log_mean
+        gp = (s2 * s0 - s1 * s1) / (s0 * s0) + 1.0 / (k * k)
+        if not math.isfinite(g) or not gp > 0.0:
+            return None
+        k_next = k - g / gp
+        if not lo < k_next < hi:
+            return None
+        if abs(k_next - k) <= _NEWTON_STEP_TOL * k:
+            return k, s0, s1, s2
+        k = k_next
+    return None
+
+
 def fit_weibull(
     values: Sequence[float],
     shift: float = 1.0,
@@ -77,20 +132,19 @@ def fit_weibull(
     MLE scale is ``(mean(x^k))^(1/k)``, and k solves a one-dimensional
     fixed-point equation, which we bracket and solve with brentq.
 
-    ``guess`` warm-starts the root search with a previous fit's shape via a
-    safeguarded Newton iteration (the profile equation has an analytic
-    derivative costing one extra vector reduction per step).  Refitting
-    after a handful of new observations — the replay engine's epoch cadence
-    — converges in a couple of steps; the accepted iterate reuses its own
+    ``guess`` warm-starts the root search with a previous fit's shape via
+    :func:`newton_shape`.  Refitting after a handful of new observations
+    converges in a couple of steps; the accepted iterate reuses its own
     profile evaluation for the scale, so no extra pass over the window is
     paid.  If Newton wanders out of the valid shape range or stalls, we
-    fall back to the cold bracketed solve.
+    fall back to the cold bracketed solve.  The cold solve weighs the logs
+    relative to their maximum, so a degenerate window (all values equal,
+    which drives the shape to the 512 cap) cannot overflow it.
 
     ``logs``, when given, must be ``np.log(values + shift)`` precomputed —
     the fit's sufficient statistics are all reductions over these logs, so
-    a caller that maintains them incrementally (the Weibull predictor's
-    log cache) skips the full ``np.log`` pass that otherwise dominates a
-    warm refit.  The caller vouches for the array; it is used read-only.
+    a caller that already holds them skips the ``np.log`` pass.  The
+    caller vouches for the array; it is used read-only.
     """
     if logs is None:
         arr = np.asarray(values, dtype=float) + shift
@@ -101,43 +155,24 @@ def fit_weibull(
         logs = np.log(arr)
     elif logs.size < 2:
         raise ValueError("Weibull fit needs at least two observations")
-    # Same pairwise reduction as ``logs.mean()`` without the method's
-    # dispatch overhead (this runs once per refit, every epoch).
+    if guess is not None:
+        got = newton_shape(logs, guess)
+        if got is not None:
+            k, s0 = got[0], got[1]
+            return WeibullDistribution(shape=k, scale=(s0 / logs.size) ** (1.0 / k))
     log_mean = float(np.add.reduce(logs)) / logs.size
+    top = float(logs.max())
+    centered = logs - top
     powered = np.empty_like(logs)
 
     def profile(k: float) -> float:
-        # exp(k * log x) is x**k with one vector multiply instead of a
-        # per-element pow — the profile evaluation is the whole cost of
-        # this fit, so it is worth spelling out.
-        np.multiply(logs, k, out=powered)
+        # The weights exp(k·(l − max l)) are exp(k·l) up to a common
+        # factor, which the ratio cancels.
+        np.multiply(centered, k, out=powered)
         np.exp(powered, out=powered)
         return float(np.dot(powered, logs) / powered.sum() - 1.0 / k - log_mean)
 
     lo, hi = 1e-3, 1.0
-    if guess is not None and lo < guess < 512.0:
-        logs2 = logs * logs
-        k = float(guess)
-        for _ in range(12):
-            np.multiply(logs, k, out=powered)
-            np.exp(powered, out=powered)
-            s0 = float(powered.sum())
-            s1 = float(np.dot(powered, logs))
-            g = s1 / s0 - 1.0 / k - log_mean
-            gp = (float(np.dot(powered, logs2)) * s0 - s1 * s1) / (s0 * s0)
-            gp += 1.0 / (k * k)
-            if not math.isfinite(g) or gp <= 0.0:
-                break
-            k_next = k - g / gp
-            if not lo < k_next < 512.0:
-                break
-            if abs(k_next - k) <= _NEWTON_STEP_TOL * k:
-                # Accept the evaluated iterate and derive the scale from
-                # the sufficient statistic already in hand — the final
-                # full-window pass the cold path needs is skipped.
-                scale = (s0 / logs.size) ** (1.0 / k)
-                return WeibullDistribution(shape=k, scale=scale)
-            k = k_next
     while profile(hi) < 0.0 and hi < 512.0:
         hi *= 2.0
     if profile(lo) > 0.0:
@@ -146,7 +181,7 @@ def fit_weibull(
         shape = hi
     else:
         shape = float(optimize.brentq(profile, lo, hi, xtol=1e-9))
-    np.multiply(logs, shape, out=powered)
+    np.multiply(centered, shape, out=powered)
     np.exp(powered, out=powered)
-    scale = float(powered.mean() ** (1.0 / shape))
+    scale = math.exp(top) * float(powered.mean()) ** (1.0 / shape)
     return WeibullDistribution(shape=shape, scale=scale)

@@ -37,13 +37,13 @@ class TestRegistry:
         )
 
     def test_kernel_capability_per_method(self):
-        # Decided by the class alone: every exact headline method but
-        # weibull has a prefix kernel; weibull's streamed fit and the
-        # approximate sketches are fed event by event.
+        # Decided by the class alone: every headline method has a prefix
+        # kernel (weibull's walks from resync to resync); the approximate
+        # sketches are fed event by event.
         bank = make_bank(HEADLINE + SKETCHES)
         served = {name for name, p in bank.items() if prefix_kernel(p) is not None}
-        assert served == set(HEADLINE) - {"weibull"}
-        assert len(served) == 8
+        assert served == set(HEADLINE)
+        assert len(served) == 9
 
     def test_unknown_name_is_refused(self):
         with pytest.raises(KeyError, match="downey-loguniform"):

@@ -7,14 +7,15 @@ same arithmetic, not an approximation.  The property test throws randomized
 small traces at both engines (tied submit times, zero waits, short trim
 lengths that force mid-segment fires, sliding windows, epoch/​training
 variations); the deterministic tests pin the specific regimes the kernel
-special-cases: change-point fire splitting, zero-wait drain ties, the
-small-batch scalar path, and engine selection plumbing.
+special-cases: change-point fire splitting, zero-wait drain ties, one-job
+epochs, and engine selection plumbing.
 """
 
 from __future__ import annotations
 
 import importlib
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -86,9 +87,8 @@ def _bootstrap_bank():
 
 
 #: ``_bank()`` entries the batched engine must serve by prefix kernel:
-#: every exact one, trimming or not, except the sliding windows and
-#: weibull (whose streamed fit has no kernel).
-_KERNEL_SERVED = set(_bank()) - {"bmbp-window", "point-window", "weibull"}
+#: every one, trimming or not, except the sliding windows.
+_KERNEL_SERVED = set(_bank()) - {"bmbp-window", "point-window"}
 
 
 def _make_trace(gaps, waits):
@@ -99,10 +99,15 @@ def _make_trace(gaps, waits):
 
 
 #: Methods held to a documented band instead of the exact tier.  Weibull's
-#: streamed fit is path-dependent (a batch absorb resyncs it, per-item
-#: observes stream it), so its bounds agree within the streaming band and
-#: a job whose ratio sits that close to 1 may score differently.
+#: refits depend on the shape its earlier refits fitted, and its kernel
+#: follows them on running sums that match a fresh pass to roundoff only,
+#: so its bounds agree within the streaming band here and a job whose
+#: ratio sits that close to 1 may score differently.  ``TestWeibullKernel``
+#: holds the kernel itself to 1e-12.
 _BANDED = {"weibull": 1e-2}
+
+#: The kernels that repeat the per-item feed's arithmetic bit for bit.
+_EXACT_KERNELS = _KERNEL_SERVED - set(_BANDED)
 
 
 def _kernel_bank():
@@ -143,7 +148,7 @@ def _assert_identical(trace, config, make_bank=_bank, served=_KERNEL_SERVED):
     for name in batched:
         # A prefix kernel repeats the per-item feed's arithmetic, so its
         # quotes, and the ratios scored against them, are bit-identical.
-        rtol = 0.0 if name in kernels else _BANDED.get(name, 1e-9)
+        rtol = _BANDED.get(name, 0.0 if name in kernels else 1e-9)
         # Both engines leave every predictor in the same state.
         pa, pb = banks["batched"][name], banks["reference"][name]
         assert len(pa.history) == len(pb.history), name
@@ -202,7 +207,7 @@ class TestPrefixKernels:
         waits[::7] = 0.0
         waits[5:12] = 20.0
         lengths = np.arange(0, 301, every)
-        for name in sorted(_KERNEL_SERVED):
+        for name in sorted(_EXACT_KERNELS):
             probe = _bank()[name]
             want, fed = [], 0
             for m in lengths:
@@ -228,7 +233,7 @@ class TestPrefixKernels:
         waits[0] = 1.0
         waits[1:59] = 2.0 ** -53
         lengths = np.arange(window, 201, 3)
-        for name in sorted(_KERNEL_SERVED):
+        for name in sorted(_EXACT_KERNELS):
             probe = _bank()[name]
             probe.preload_history(waits[:window])
             want, fed = [], window
@@ -262,7 +267,7 @@ class TestPrefixKernels:
         waits = rng.lognormal(3.0, 1.5, int(lengths[-1]))
         waits[::5] = 0.0
         bounds = sorted({0, lengths.size, *(c for c in cuts if c < lengths.size)})
-        for name in sorted(_KERNEL_SERVED):
+        for name in sorted(_EXACT_KERNELS):
             want = prefix_kernel(_bank()[name])(waits, lengths, window)
             kernel = prefix_kernel(_bank()[name])
             carry, ordinal, pieces = {}, 0, []
@@ -294,11 +299,207 @@ class TestPrefixKernels:
         # The bootstrap's draws come from a tape; only its mirror is
         # bounded, not its history.
         assert prefix_kernel(BootstrapQuantilePredictor()) is not None
-        # No kernel: a path-dependent streamed fit.
-        assert prefix_kernel(WeibullPredictor()) is None
+        # Weibull's resync walk is a kernel too.
+        assert prefix_kernel(WeibullPredictor()) is not None
+        assert prefix_kernel(WeibullPredictor(trim=True)) is not None
         used = MeanWaitPredictor(trim=False)
         used.observe(3.0)
         assert prefix_kernel(used) is None
+
+
+_weibull_module = importlib.import_module("repro.baselines.weibull")
+
+
+@contextmanager
+def _counted_resyncs():
+    """Count weibull resyncs (one shape fit each) while the block runs."""
+    calls = []
+    real = _weibull_module._resync
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    with mock.patch.object(_weibull_module, "_resync", spy):
+        yield calls
+
+
+def _weibull_refits(predictor, waits, lengths, fed=0):
+    """``_compute_bound`` at each of ``lengths`` as ``waits`` are observed
+    one at a time from position ``fed`` (NaN where it returns None)."""
+    out = []
+    for m in lengths:
+        for wait in waits[fed:m].tolist():
+            predictor.observe(wait)
+        fed = m
+        value = predictor._compute_bound()
+        out.append(np.nan if value is None else value)
+    return np.asarray(out, dtype=float)
+
+
+def _assert_same_quotes(got, want):
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    np.testing.assert_allclose(got[ok], want[ok], rtol=1e-12)
+
+
+class TestWeibullKernel:
+    """Weibull's resync walk against per-item ``_compute_bound`` refits:
+    the same NaN pattern, the same resyncs (counted), bounds to 1e-12."""
+
+    @pytest.mark.parametrize("case", [
+        "every-refit", "wrap", "all-equal", "all-equal-capped", "short",
+        "repeated", "overflow",
+    ])
+    def test_matches_per_item_refits(self, case):
+        rng = np.random.default_rng(31)
+        waits = rng.lognormal(3.0, 1.5, 600)
+        waits[::7] = 0.0
+        lengths = np.arange(0, 601, 3)
+        max_history = 4000
+        if case == "every-refit":
+            lengths = np.arange(0, 601)
+        elif case == "wrap":
+            # The window slides: every refit past 50 drops a wait.
+            max_history = 50
+        elif case == "all-equal":
+            # The shape runs to the 512 cap, where the curvature's sums
+            # overflow: no gate, so every refit resyncs.
+            waits = np.full(300, 2.0)
+        elif case == "all-equal-capped":
+            # Here exp(512 * l) itself overflows.
+            waits = np.full(300, 1000.0)
+        elif case == "short":
+            waits, lengths = waits[:9], np.arange(0, 10)
+        elif case == "repeated":
+            # A second refit at the same prefix (``finish_training``).
+            lengths = np.sort(np.concatenate((lengths, lengths[5::10])))
+        elif case == "overflow":
+            # A nearly constant window fits a steep shape; an outlier's
+            # term then overflows the running sums mid-run.
+            rng = np.random.default_rng(0)
+            waits = np.exp(rng.normal(np.log(20.0), 0.02, 300))
+            waits[200] = 1e6
+            lengths = np.arange(0, 301)
+        with _counted_resyncs() as item_calls:
+            want = _weibull_refits(
+                WeibullPredictor(max_history=max_history), waits, lengths
+            )
+        with _counted_resyncs() as kernel_calls:
+            got = prefix_kernel(WeibullPredictor(max_history=max_history))(
+                waits, lengths
+            )
+        _assert_same_quotes(got, want)
+        assert len(kernel_calls) == len(item_calls)
+        if case == "short":
+            assert np.isnan(got).all() and not item_calls
+        else:
+            assert item_calls
+
+    @pytest.mark.parametrize("trim_length", [5, 20, 59])
+    def test_restarts_from_a_trimmed_window(self, trim_length):
+        # The walk's protocol at a fire: the trimmed window's first call
+        # finds the old window's carry and the fire's position in it.  A
+        # trim drops the gate, and the next refit resyncs warm from the
+        # last shape fitted before the fire.
+        rng = np.random.default_rng(32)
+        waits = np.concatenate([rng.lognormal(2.0, 0.4, 300),
+                                rng.lognormal(4.0, 0.4, 300)])
+        fire = 310  # the drain whose observation fires
+        first = np.arange(0, fire + 1, 2)
+        s = fire + 1 - trim_length
+        later = np.arange(fire + 1, 601, 3)
+        with _counted_resyncs() as item_calls:
+            predictor = WeibullPredictor(trim=True, trim_length=trim_length)
+            want = list(_weibull_refits(predictor, waits, first))
+            for wait in waits[first[-1]:fire + 1].tolist():
+                predictor.observe(wait)
+            shape_at_fire = predictor._last_shape
+            predictor._on_change_point()
+            want.append(predictor.predict())
+            want.extend(_weibull_refits(predictor, waits, later[1:], fire + 1))
+        with _counted_resyncs() as kernel_calls:
+            kernel = prefix_kernel(WeibullPredictor(trim=True, trim_length=trim_length))
+            old = {}
+            # The old window's lookahead past the fire is quoted too, and
+            # dropped: only its refits up to the fire count.
+            got = list(kernel(waits, np.arange(0, 401, 2), 0, None, 0, old)[:first.size])
+            before_fire = len(kernel_calls)
+            carry = {"before": old, "at": fire}
+            got.extend(kernel(waits[s:], later - s, trim_length, None, 0, carry))
+        _assert_same_quotes(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
+        np.testing.assert_allclose(carry["weibull"].warm, shape_at_fire, rtol=1e-12)
+        # The kernel's resyncs on the path: those up to the fire, and all
+        # of the trimmed window's.
+        on_path = sum(1 for m in old["weibull"].at if m <= fire)
+        assert on_path + len(kernel_calls) - before_fire == len(item_calls)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        window=st.sampled_from([0, 0, 12, 40]),
+        steps=st.lists(st.sampled_from([0, 1, 1, 2, 3, 5, 17, 60]), min_size=1,
+                       max_size=60),
+        cuts=st.lists(st.integers(0, 60), max_size=6),
+    )
+    def test_split_calls_sharing_a_carry(self, seed, window, steps, cuts):
+        lengths = window + np.cumsum(steps)
+        rng = np.random.default_rng(seed)
+        waits = rng.lognormal(3.0, 1.5, int(lengths[-1]))
+        waits[::5] = 0.0
+        bounds = sorted({0, lengths.size, *(c for c in cuts if c < lengths.size)})
+        with _counted_resyncs() as whole_calls:
+            want = prefix_kernel(WeibullPredictor(max_history=50))(
+                waits, lengths, window
+            )
+        with _counted_resyncs() as split_calls:
+            kernel = prefix_kernel(WeibullPredictor(max_history=50))
+            carry, pieces = {}, []
+            for lo, hi in zip(bounds, bounds[1:]):
+                piece = lengths[lo:hi]
+                pieces.append(kernel(waits[:piece[-1]], piece, window, None, 0, carry))
+        _assert_same_quotes(np.concatenate(pieces), want)
+        assert len(split_calls) == len(whole_calls)
+
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_replay_leaves_the_reference_state(self, trim):
+        # After a batched replay the predictor holds the history, quote,
+        # staleness, fitted shape and gate a reference replay leaves, so
+        # the refits after it match too.
+        rng = np.random.default_rng(33)
+        waits = np.concatenate([rng.lognormal(2.0, 0.3, 400),
+                                rng.lognormal(3.5, 0.3, 400)])
+        gaps = np.where(np.arange(800) % 5 == 0, 310.0, 20.0)
+        trace = _make_trace(gaps, waits)
+        config = ReplayConfig(record_series=True)
+        make = lambda: WeibullPredictor(trim=trim, trim_length=20, max_history=300)
+        banks = {"batched": {"w": make()}, "reference": {"w": make()}}
+        calls, runs = {}, {}
+        for engine, bank in banks.items():
+            with _counted_resyncs() as calls[engine]:
+                runs[engine] = replay(trace, bank, config, engine=engine)["w"]
+        a, b = runs["batched"], runs["reference"]
+        if trim:
+            assert b.change_points > 0
+        else:
+            assert len(calls["batched"]) == len(calls["reference"])
+        assert (a.n_correct, a.change_points) == (b.n_correct, b.change_points)
+        np.testing.assert_allclose(a.series_values, b.series_values, rtol=1e-12)
+        np.testing.assert_allclose(a.ratios, b.ratios, rtol=1e-12)
+        pa, pb = banks["batched"]["w"], banks["reference"]["w"]
+        assert np.array_equal(pa.history.arrival_view(), pb.history.arrival_view())
+        assert pa.observations_since_refit == pb.observations_since_refit
+        np.testing.assert_allclose(pa.predict(), pb.predict(), rtol=1e-12)
+        np.testing.assert_allclose(pa._last_shape, pb._last_shape, rtol=1e-12)
+        np.testing.assert_allclose(pa._gate_gp, pb._gate_gp, rtol=1e-12)
+        more = rng.lognormal(3.0, 0.5, 200)
+        lengths = np.arange(0, 201, 4)
+        with _counted_resyncs() as after_batched:
+            got = _weibull_refits(pa, more, lengths)
+        with _counted_resyncs() as after_reference:
+            want = _weibull_refits(pb, more, lengths)
+        _assert_same_quotes(got, want)
+        assert len(after_batched) == len(after_reference) > 0
 
 
 class TestEngineIdentityProperty:
@@ -332,8 +533,8 @@ class TestEngineIdentityProperty:
     @settings(max_examples=30, deadline=None)
     @given(jobs=JOBS, training=st.sampled_from([0.0, 0.3]))
     def test_kernel_only_bank(self, jobs, training):
-        # With no predictor left in the loop, the refit schedule and the
-        # inert-run shortcut must still follow the drains alone.
+        # With no predictor on the reference engine, the refit schedule
+        # must still follow the drains alone.
         trace = _make_trace([g for g, _ in jobs], [w for _, w in jobs])
         config = ReplayConfig(training_fraction=training, record_series=True)
         _assert_identical(trace, config, make_bank=_kernel_bank)
@@ -344,9 +545,8 @@ class TestEngineIdentityProperty:
     @example(jobs=[(0.0, 0.0), (0.0, 2.225073858507203e-309), (1.0, 0.0),
                    (0.0, 0.0), (0.0, 1.0)], training=0.3)
     def test_sketch_methods(self, jobs, training):
-        # Loop-bound through a registered observe: the segment loop's
-        # batch feeds, fire splits and trim rebuilds must leave each
-        # sketch exactly where per-event feeding does.
+        # No kernel: the batched engine replays the sketches on the
+        # reference engine, so they must match it exactly.
         trace = _make_trace([g for g, _ in jobs], [w for _, w in jobs])
         config = ReplayConfig(training_fraction=training, record_series=True)
         _assert_identical(trace, config, make_bank=_sketch_bank, served=set())
@@ -602,7 +802,7 @@ class TestEngineIdentityDeterministic:
         _assert_identical(_make_trace(gaps, waits), ReplayConfig(epoch=50.0))
 
     def test_single_job_segments_small_batch_path(self):
-        # One job per epoch: exercises the scalar small-batch feed.
+        # One job per epoch: every boundary drains a single wait.
         rng = np.random.default_rng(5)
         waits = rng.lognormal(3.0, 1.0, 40)
         trace = _make_trace(np.full(40, 310.0), waits)
