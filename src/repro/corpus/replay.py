@@ -14,12 +14,15 @@ data by reference only — *(store path, queue, row range)* — and the
 worker process re-opens the ``np.memmap`` columns itself through the
 store's slice-open API (:meth:`CorpusStore.queue_slice`), so no trace
 data is ever pickled across the process boundary; what comes back is a
-compact per-queue result row.  Execution routes through the runtime
-engine (:func:`repro.runtime.engine.run_tasks`): ``jobs=1`` (the
-default) runs the identical unit functions in-process and is the
-serial oracle; ``jobs>1`` fans the same units out over a process pool,
-and because every unit is a pure function of its arguments the merged
-report is bit-identical either way (property-tested, golden-pinned).
+compact per-queue result row.  Every unit, whatever the input, runs
+through the runtime engine (:func:`repro.runtime.engine.run_tasks`):
+``jobs=1`` (the default) runs the identical unit function in-process
+and is the serial oracle; ``jobs>1`` fans the same units out over a
+process pool, and because every unit is a pure function of its
+arguments the merged report is bit-identical either way
+(property-tested, golden-pinned).  A bare :class:`CorpusView` input
+hands the view itself to the unit function and runs at ``jobs=1``,
+uncached: it has no directory to re-open and no manifest to key on.
 
 Scheduling is long-tail aware: units are dispatched largest-first, and
 a queue larger than ``split_threshold`` is sharded into independent
@@ -165,26 +168,23 @@ def plan_units(
 # --------------------------------------------------------------------------
 
 
-def _unit_config(unit_warmup: int, epoch: float, record_series: bool):
-    from repro.simulator.replay import ReplayConfig
-
-    return ReplayConfig(
-        epoch=epoch,
-        record_series=record_series,
-        training_jobs=unit_warmup if unit_warmup > 0 else None,
-    )
-
-
-def _replay_unit_compute(
-    qview: CorpusView,
-    *,
+def _replay_unit_task(
+    source: Union[str, CorpusView],
+    queue: str,
+    lo: int,
+    hi: int,
     warmup: int,
     epoch: float,
     methods: Optional[Tuple[str, ...]],
     record_series: bool,
     chunked: bool,
 ) -> Dict[str, Any]:
-    """Replay one opened unit slice; return its compact result row.
+    """Slice-open one unit, replay it and return its compact result row.
+
+    ``source`` is a store path or a bare :class:`CorpusView`.  A pool
+    worker is handed the path and re-opens the store's memmap columns
+    itself, so the fan-out ships only this argument tuple — zero pickled
+    rows, zero copies beyond the one the queue mask materializes locally.
 
     Chunked units additionally return their per-method ratio arrays so
     the parent can merge medians across chunks; whole-queue units fold
@@ -192,7 +192,11 @@ def _replay_unit_compute(
     """
     from repro.core.bank import HEADLINE, make_bank
     from repro.runtime import faults
-    from repro.simulator.replay import replay
+    from repro.simulator.replay import ReplayConfig, replay
+
+    if isinstance(source, str):
+        source = CorpusStore(source)
+    qview = source.queue_slice(queue, lo - warmup, hi)
 
     action = faults.fire("corpus.replay.unit")
     if action == "die":
@@ -200,7 +204,11 @@ def _replay_unit_compute(
     elif action == "raise":
         raise RuntimeError("injected corpus.replay.unit fault")
 
-    config = _unit_config(warmup, epoch, record_series)
+    config = ReplayConfig(
+        epoch=epoch,
+        record_series=record_series,
+        training_jobs=warmup or None,
+    )
     results = replay(qview, make_bank(methods or HEADLINE), config)
     row: Dict[str, Any] = {"methods": {}}
     for name in sorted(results):
@@ -219,36 +227,6 @@ def _replay_unit_compute(
             entry["series_values"] = np.asarray(res.series_values, dtype=np.float64)
         row["methods"][name] = entry
     return row
-
-
-def _replay_unit_task(
-    store_path: str,
-    queue: str,
-    lo: int,
-    hi: int,
-    warmup: int,
-    epoch: float,
-    methods: Optional[Tuple[str, ...]],
-    record_series: bool,
-    chunked: bool,
-) -> Dict[str, Any]:
-    """Pool-worker entry point: slice-open the memmap store and replay.
-
-    Everything here is passed by value *except the data*: the worker
-    re-opens the store's columns from ``store_path`` itself, so the fan
-    -out ships only this argument tuple — zero pickled rows, zero
-    copies beyond the one the queue mask materializes locally.
-    """
-    store = CorpusStore(store_path)
-    qview = store.queue_slice(queue, lo - warmup, hi)
-    return _replay_unit_compute(
-        qview,
-        warmup=warmup,
-        epoch=epoch,
-        methods=methods,
-        record_series=record_series,
-        chunked=chunked,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -377,8 +355,8 @@ def replay_store(
     ``$BMBP_JOBS`` > 1); the serial default is the oracle the parallel
     path is property-tested against.  ``cache=None`` follows the
     engine-wide setting; a :class:`CorpusView` input (no backing store
-    directory) always computes in-process and uncached, since there is
-    no path for workers to re-open nor manifest to key on.
+    directory) always runs its units in-process and uncached, since
+    there is no path for workers to re-open nor manifest to key on.
     """
     from repro import runtime
     from repro.core.bank import HEADLINE, make_bank
@@ -417,7 +395,7 @@ def replay_store(
     before = runtime.stats()
 
     if is_store:
-        store_path = str(store.path)
+        source: Union[str, CorpusView] = str(store.path)
         hot_sha = {
             name: sha for name, sha in store.column_sha256().items()
             if name in ("submit", "wait", "procs", "queue")
@@ -427,62 +405,49 @@ def replay_store(
             "methods": list(methods_tuple) if methods_tuple else None,
             "record_series": record_series,
         }
-        tasks = []
-        for unit in units:
-            digest = view.queue_digest(unit.queue, unit.lo - unit.warmup, unit.hi)
-            tasks.append(Task(
-                func=_replay_unit_task,
-                args=(store_path, unit.queue, unit.lo, unit.hi, unit.warmup,
-                      epoch, methods_tuple, record_series, unit.n_chunks > 1),
-                label=unit.label,
-                cache_key=corpus_unit_key(
-                    site=site,
-                    queue=unit.queue,
-                    rows={"lo": unit.lo, "hi": unit.hi,
-                          "warmup": unit.warmup, "chunk": unit.chunk,
-                          "n_chunks": unit.n_chunks,
-                          "queue_rows": unit.queue_rows},
-                    data_digest=digest,
-                    column_sha256=hot_sha,
-                    config=unit_config,
-                ),
-            ))
-
-        def prime() -> None:
-            # Units fill per-process memos (K′ factors, the rare-event
-            # table) that a pool's workers would otherwise each rebuild and
-            # drop on every replay: fill them here, once, for the longest
-            # unit, just before the fan-out forks.
-            longest = max(unit.cost for unit in units)
-            for predictor in make_bank(methods_tuple or HEADLINE).values():
-                predictor.prime(longest)
-
-        unit_results = runtime.run_tasks(
-            tasks, jobs=jobs, cache=cache, progress=progress, before_fork=prime
-        )
-        cache_enabled = runtime.engine._cache_active(cache)
     else:
-        # A bare view has no store directory to re-open in a worker and
-        # no manifest to key a cache on: compute in-process, serially.
-        unit_results = []
-        for i, unit in enumerate(units):
-            qview = view.queue_slice(unit.queue, unit.lo - unit.warmup, unit.hi)
-            unit_results.append(_replay_unit_compute(
-                qview,
-                warmup=unit.warmup,
-                epoch=epoch,
-                methods=methods_tuple,
-                record_series=record_series,
-                chunked=unit.n_chunks > 1,
-            ))
-            if progress is not None:
-                progress(i + 1, len(units))
-        cache_enabled = False
+        # A bare view has no store directory for a worker to re-open and
+        # no manifest to key a cache on: its units run in-process, uncached.
+        source, jobs, cache = view, 1, False
 
-    delta = runtime.stats().since(before) if is_store else None
-    timing_by_label = (
-        {t.label: t for t in delta.timings} if delta is not None else {}
+    tasks = []
+    for unit in units:
+        cache_key = None
+        if is_store:
+            cache_key = corpus_unit_key(
+                site=site,
+                queue=unit.queue,
+                rows={"lo": unit.lo, "hi": unit.hi,
+                      "warmup": unit.warmup, "chunk": unit.chunk,
+                      "n_chunks": unit.n_chunks,
+                      "queue_rows": unit.queue_rows},
+                data_digest=view.queue_digest(
+                    unit.queue, unit.lo - unit.warmup, unit.hi),
+                column_sha256=hot_sha,
+                config=unit_config,
+            )
+        tasks.append(Task(
+            func=_replay_unit_task,
+            args=(source, unit.queue, unit.lo, unit.hi, unit.warmup,
+                  epoch, methods_tuple, record_series, unit.n_chunks > 1),
+            label=unit.label,
+            cache_key=cache_key,
+        ))
+
+    def prime() -> None:
+        # Units fill per-process memos (K′ factors, the rare-event table)
+        # that a pool's workers would otherwise each rebuild and drop on
+        # every replay: fill them here, once, for the longest unit, just
+        # before the fan-out forks.
+        longest = max(unit.cost for unit in units)
+        for predictor in make_bank(methods_tuple or HEADLINE).values():
+            predictor.prime(longest)
+
+    unit_results = runtime.run_tasks(
+        tasks, jobs=jobs, cache=cache, progress=progress, before_fork=prime
     )
+    delta = runtime.stats().since(before)
+    timing_by_label = {t.label: t for t in delta.timings}
 
     by_queue: Dict[str, List[Tuple[ReplayUnit, Dict[str, Any]]]] = {}
     for unit, row in zip(units, unit_results):
@@ -507,13 +472,13 @@ def replay_store(
     ) if report["seconds"] > 0 else 0.0
     report["coverage_pass"] = all_pass
     provenance: Dict[str, Any] = {
-        "jobs": resolve_jobs(jobs) if is_store else 1,
+        "jobs": resolve_jobs(jobs),
         "cpu_count": os.cpu_count(),
         "split_threshold": split_threshold,
         "cache": {
-            "enabled": bool(cache_enabled),
-            "hits": delta.cache_hits if delta is not None else 0,
-            "misses": delta.cache_misses if delta is not None else 0,
+            "enabled": bool(runtime.engine._cache_active(cache)),
+            "hits": delta.cache_hits,
+            "misses": delta.cache_misses,
         },
         "units": [
             {
@@ -522,10 +487,8 @@ def replay_store(
                 "chunk": unit.chunk,
                 "rows": unit.scored_rows,
                 "warmup": unit.warmup,
-                "seconds": round(timing_by_label[unit.label].seconds, 4)
-                if unit.label in timing_by_label else None,
-                "cached": timing_by_label[unit.label].cached
-                if unit.label in timing_by_label else None,
+                "seconds": round(timing_by_label[unit.label].seconds, 4),
+                "cached": timing_by_label[unit.label].cached,
             }
             for unit in units
         ],

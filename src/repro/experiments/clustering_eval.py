@@ -25,10 +25,9 @@ import numpy as np
 
 from repro.core.bmbp import BMBPPredictor
 from repro.core.clustering import ClusteredPredictor
-from repro.experiments.parallel import prime
+from repro.experiments.parallel import run_per_queue
 from repro.experiments.report import render_table
 from repro.experiments.runner import ExperimentConfig, trace_for
-from repro.runtime import Task, run_tasks
 from repro.workloads.bins import bin_label, bin_of
 from repro.workloads.spec import spec_for
 
@@ -195,14 +194,9 @@ def run_clustering_eval(
     engine work item per queue.
     """
     config = config or ExperimentConfig()
-    tasks = [
-        Task(func=_queue_strategies_work, args=(machine, queue, config),
-             label=f"{machine}/{queue}[grouping]")
-        for machine, queue in CLUSTERING_QUEUES
-    ]
     specs = [spec_for(*queue) for queue in CLUSTERING_QUEUES]
     rows: List[ClusteringRow] = []
-    for queue_rows in run_tasks(tasks, before_fork=lambda: prime(specs, config)):
+    for queue_rows in run_per_queue(_queue_strategies_work, specs, config):
         rows.extend(queue_rows)
     return rows
 

@@ -10,8 +10,10 @@ cheaper than pickling the trace itself.  Determinism is inherited from the
 seeded generator: any worker (or the parent, in serial fallback) produces
 bit-identical traces and therefore bit-identical replay results.
 
-``run_queue_batch`` / ``run_bin_batch`` are the batch entry points used by
-Table 3/4 and the by-size Tables 5-7; they layer three caches:
+Every per-queue fan-out builds its tasks in :func:`run_per_queue`:
+``run_queue_batch`` / ``run_bin_batch`` (Table 3/4 and the by-size Tables
+5-7), the sensitivity grid and the clustering evaluation.  The table
+batches layer three caches:
 
 1. the in-process result cache in :mod:`repro.experiments.runner` (so e.g.
    Table 4 reuses Table 3's replays within one process),
@@ -22,7 +24,7 @@ Table 3/4 and the by-size Tables 5-7; they layer three caches:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.predictor import QuantilePredictor
 from repro.experiments import runner
@@ -39,6 +41,7 @@ __all__ = [
     "bin_cells_work",
     "run_queue_batch",
     "run_bin_batch",
+    "run_per_queue",
     "prime",
 ]
 
@@ -101,6 +104,29 @@ def prime(
             predictor.prime(longest)
 
 
+def run_per_queue(
+    func: Callable[[str, str, ExperimentConfig], Any],
+    specs: List[QueueSpec],
+    config: ExperimentConfig,
+    bank: Optional[Dict[str, QuantilePredictor]] = None,
+    jobs: Optional[int] = None,
+) -> List[Any]:
+    """Run ``func(machine, queue, config)`` for every spec through the
+    engine; results in ``specs`` order.
+
+    A pool start first primes ``bank`` (default: the paper's three
+    methods) to the longest generated trace, see :func:`prime`.
+    """
+    tasks = [
+        Task(func=func, args=(spec.machine, spec.queue, config),
+             label=f"{spec.label}[{func.__name__}]")
+        for spec in specs
+    ]
+    return run_tasks(
+        tasks, jobs=jobs, before_fork=lambda: prime(specs, config, bank)
+    )
+
+
 def run_queue_batch(
     specs: List[QueueSpec],
     config: Optional[ExperimentConfig] = None,
@@ -114,24 +140,14 @@ def run_queue_batch(
     callers (:func:`repro.experiments.runner.run_queue`) reuse them.
     """
     config = config or ExperimentConfig()
-    results: List[Optional[Dict[str, ReplayResult]]] = [None] * len(specs)
-    tasks: List[Task] = []
-    positions: List[int] = []
-    for i, spec in enumerate(specs):
-        cached = runner.cached_queue_result(spec.machine, spec.queue, config)
-        if cached is not None:
-            results[i] = cached
-            continue
-        tasks.append(
-            Task(
-                func=queue_work,
-                args=(spec.machine, spec.queue, config),
-                label=spec.label,
-            )
-        )
-        positions.append(i)
-    misses = [specs[i] for i in positions]
-    values = run_tasks(tasks, jobs=jobs, before_fork=lambda: prime(misses, config))
+    results = [
+        runner.cached_queue_result(spec.machine, spec.queue, config)
+        for spec in specs
+    ]
+    positions = [i for i, result in enumerate(results) if result is None]
+    values = run_per_queue(
+        queue_work, [specs[i] for i in positions], config, jobs=jobs
+    )
     for i, value in zip(positions, values):
         spec = specs[i]
         runner.store_queue_result(spec.machine, spec.queue, config, value)
@@ -145,13 +161,6 @@ def run_bin_batch(
     jobs: Optional[int] = None,
 ) -> List[Dict[str, Optional[Dict[str, ReplayResult]]]]:
     """Per-bin replays for many queues; one work item per queue."""
-    config = config or ExperimentConfig()
-    tasks = [
-        Task(
-            func=bin_cells_work,
-            args=(spec.machine, spec.queue, config),
-            label=f"{spec.label}[bins]",
-        )
-        for spec in specs
-    ]
-    return run_tasks(tasks, jobs=jobs, before_fork=lambda: prime(specs, config))
+    return run_per_queue(
+        bin_cells_work, specs, config or ExperimentConfig(), jobs=jobs
+    )

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.bank import make_bank
 from repro.core.predictor import QuantilePredictor
-from repro.simulator.replay import ReplayConfig, replay
+from repro.simulator.replay import ReplayConfig
 from repro.simulator.results import ReplayResult
 from repro.workloads.generator import GeneratorConfig, generate_queue_trace
 from repro.workloads.spec import QUEUE_SPECS, QueueSpec, spec_for
@@ -41,8 +41,9 @@ METHOD_ORDER: Tuple[str, ...] = ("bmbp", "logn-notrim", "logn-trim")
 class ExperimentConfig:
     """Knobs shared by all experiments; defaults reproduce the paper.
 
-    ``scale`` multiplies every queue's Table 1 job count; the per-cell
-    minimum job threshold of the by-size tables is pro-rated by it.
+    ``scale`` multiplies every queue's Table 1 job count (``min_jobs``
+    floors it); the by-size tables pro-rate their per-cell minimum by the
+    resulting effective scale (see ``parallel.bin_cells_work``).
     """
 
     scale: float = 0.35
@@ -64,11 +65,6 @@ class ExperimentConfig:
         return ReplayConfig(
             epoch=self.epoch, training_fraction=self.training_fraction
         )
-
-    @property
-    def min_cell_jobs(self) -> int:
-        """Pro-rated version of the paper's 1000-job cell threshold."""
-        return max(60, int(round(1000 * self.scale)))
 
 
 # ----------------------------------------------------------------- caching
@@ -100,7 +96,7 @@ def cached_queue_result(
     machine: str, queue: str, config: ExperimentConfig
 ) -> Optional[Dict[str, ReplayResult]]:
     """The in-process cached result for one queue, if any."""
-    return _RESULT_CACHE.get(("queue", machine, queue, config))
+    return _RESULT_CACHE.get((machine, queue, config))
 
 
 def store_queue_result(
@@ -110,7 +106,7 @@ def store_queue_result(
     results: Dict[str, ReplayResult],
 ) -> None:
     """Record one queue's replay results in the in-process cache."""
-    _RESULT_CACHE[("queue", machine, queue, config)] = results
+    _RESULT_CACHE[(machine, queue, config)] = results
 
 
 def run_queue(
@@ -132,21 +128,6 @@ def run_queue(
 
         cached = run_queue_batch([spec_for(machine, queue)], config)[0]
     return cached
-
-
-def run_trace(
-    cache_key: Tuple,
-    trace: Trace,
-    config: ExperimentConfig,
-    replay_config: Optional[ReplayConfig] = None,
-) -> Dict[str, ReplayResult]:
-    """Replay an arbitrary trace against the three methods (cached)."""
-    key = ("trace", cache_key, config)
-    if key not in _RESULT_CACHE:
-        _RESULT_CACHE[key] = replay(
-            trace, make_predictors(config), replay_config or config.replay
-        )
-    return _RESULT_CACHE[key]
 
 
 def table3_specs() -> List[QueueSpec]:

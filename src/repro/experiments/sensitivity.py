@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.bmbp import BMBPPredictor
-from repro.experiments.parallel import prime
+from repro.experiments.parallel import run_per_queue
 from repro.experiments.report import format_cell, render_table
 from repro.experiments.runner import ExperimentConfig, trace_for
-from repro.runtime import Task, run_tasks
 from repro.simulator.replay import replay
 from repro.simulator.results import ReplayResult
 from repro.workloads.spec import spec_for
@@ -86,15 +85,8 @@ def run_sensitivity(
     results persist in the replay cache.
     """
     config = config or ExperimentConfig()
-    tasks = [
-        Task(func=_grid_work, args=(machine, queue, config),
-             label=f"{machine}/{queue}[grid]")
-        for machine, queue in SENSITIVITY_QUEUES
-    ]
     specs = [spec_for(*queue) for queue in SENSITIVITY_QUEUES]
-    results_by_queue = run_tasks(
-        tasks, before_fork=lambda: prime(specs, config, _grid_bank())
-    )
+    results_by_queue = run_per_queue(_grid_work, specs, config, _grid_bank())
     rows: List[SensitivityRow] = []
     for (machine, queue), results in zip(SENSITIVITY_QUEUES, results_by_queue):
         for quantile in QUANTILE_GRID:

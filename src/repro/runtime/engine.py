@@ -21,6 +21,13 @@ rely on:
 Worker failures are never swallowed: the remote traceback travels back as
 a :class:`WorkerError` raised in the parent, in task order.
 
+This is the package's only fan-out path: the experiment batches
+(:mod:`repro.experiments.parallel`), corpus store replays and bare corpus
+views all hand their units to :func:`run_tasks`.  Caching is decided per
+call (``cache=``), never per task; a failed task is never stored.  In
+:class:`EngineStats` every cache miss is one executed task, which the
+``summary()`` line reports as ``replays=``.
+
 Worker count resolves as: explicit ``jobs=`` argument, else
 :func:`configure`'s setting (the CLI's ``--jobs``), else the ``BMBP_JOBS``
 environment variable, else 1 (serial).
@@ -74,7 +81,6 @@ class Task:
     func: Callable[..., Any]
     args: Tuple = ()
     label: str = ""
-    cache: bool = True
     cache_key: Optional[str] = None
 
     @property
@@ -102,7 +108,6 @@ class EngineStats:
 
     cache_hits: int = 0
     cache_misses: int = 0
-    replays_run: int = 0
     seconds: float = 0.0
     timings: List[TaskTiming] = field(default_factory=list)
 
@@ -114,7 +119,6 @@ class EngineStats:
         return EngineStats(
             cache_hits=self.cache_hits - earlier.cache_hits,
             cache_misses=self.cache_misses - earlier.cache_misses,
-            replays_run=self.replays_run - earlier.replays_run,
             seconds=self.seconds - earlier.seconds,
             timings=self.timings[len(earlier.timings):],
         )
@@ -122,7 +126,7 @@ class EngineStats:
     def summary(self) -> str:
         return (
             f"tasks={self.cache_hits + self.cache_misses} "
-            f"cache_hits={self.cache_hits} replays={self.replays_run} "
+            f"cache_hits={self.cache_hits} replays={self.cache_misses} "
             f"seconds={self.seconds:.2f}"
         )
 
@@ -181,7 +185,6 @@ def stats() -> EngineStats:
 def reset_stats() -> None:
     _stats.cache_hits = 0
     _stats.cache_misses = 0
-    _stats.replays_run = 0
     _stats.seconds = 0.0
     _stats.timings = []
 
@@ -318,10 +321,9 @@ def run_tasks(
             progress(min(done_count, len(tasks)), len(tasks))
 
     pending: List[Tuple[int, Task]] = []
-    keys: List[Optional[str]] = [None] * len(tasks)
+    keys = [task.key() for task in tasks] if store is not None else []
     for i, task in enumerate(tasks):
-        if store is not None and task.cache:
-            keys[i] = task.key()
+        if store is not None:
             hit, value = store.get(keys[i])
             if hit:
                 results[i] = value
@@ -353,9 +355,8 @@ def run_tasks(
             continue
         results[i] = value
         _stats.cache_misses += 1
-        _stats.replays_run += 1
         _stats.timings.append(TaskTiming(label=label, seconds=seconds, cached=False))
-        if store is not None and task.cache and keys[i] is not None:
+        if store is not None:
             store.put(keys[i], value)
     _stats.seconds += time.perf_counter() - started
     if error is not None:

@@ -331,7 +331,7 @@ def scenario_worker_death(tmp: Path) -> Dict[str, Any]:
     from repro import runtime
     from repro.runtime.engine import Task
 
-    tasks = [Task(func=_work_item, args=(i,), label=f"w{i}", cache=False) for i in range(8)]
+    tasks = [Task(func=_work_item, args=(i,), label=f"w{i}") for i in range(8)]
     expected = [_work_item(i) for i in range(8)]
     clean = runtime.run_tasks(tasks, jobs=1, cache=False)
     assert clean == expected

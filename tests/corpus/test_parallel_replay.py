@@ -97,6 +97,7 @@ class TestBitIdentity:
     def test_view_path_matches_store_path(self, store):
         from_view = replay_store(
             store.view(), methods=["bmbp"], min_queue_jobs=MIN_QUEUE,
+            jobs=2,
         )
         from_store = replay_store(
             store, methods=["bmbp"], min_queue_jobs=MIN_QUEUE,
@@ -104,6 +105,17 @@ class TestBitIdentity:
         )
         assert (_strip_volatile(from_view)["queues"]
                 == _strip_volatile(from_store)["queues"])
+        # A view's units run through the engine too: in-process (no
+        # directory to re-open), uncached, each with its own timing.
+        provenance = from_view["provenance"]
+        assert provenance["jobs"] == 1
+        assert provenance["cache"] == {
+            "enabled": False, "hits": 0, "misses": len(provenance["units"]),
+        }
+        assert "store" not in provenance
+        for unit in provenance["units"]:
+            assert isinstance(unit["seconds"], float)
+            assert unit["cached"] is False
 
 
 class TestPlanner:

@@ -77,14 +77,10 @@ def _assert_results_equal(a, b):
         assert ra.change_points == rb.change_points
 
 
-def _tasks(specs, config=TINY, cache=True):
+def _tasks(specs, config=TINY):
     return [
-        Task(
-            func=queue_work,
-            args=(spec.machine, spec.queue, config),
-            label=spec.label,
-            cache=cache,
-        )
+        Task(func=queue_work, args=(spec.machine, spec.queue, config),
+             label=spec.label)
         for spec in specs
     ]
 
@@ -113,7 +109,7 @@ class TestPersistentCache:
         second = run_queue_batch(specs, TINY)
         delta = stats().since(before)
         assert delta.cache_hits == 1
-        assert delta.replays_run == 0
+        assert delta.cache_misses == 0
         _assert_results_equal(first[0], second[0])
 
     def test_in_process_cache_short_circuits_disk(self, fresh_cache_dir):
@@ -136,7 +132,7 @@ class TestPersistentCache:
         before = stats()
         second = run_queue_batch(specs, TINY)
         delta = stats().since(before)
-        assert delta.replays_run == 1  # recomputed, not served
+        assert delta.cache_misses == 1  # recomputed, not served
         _assert_results_equal(first[0], second[0])
 
     def test_stale_version_entry_recomputed(self, fresh_cache_dir):
@@ -153,7 +149,7 @@ class TestPersistentCache:
         second = run_queue_batch(specs, TINY)
         delta = stats().since(before)
         assert delta.cache_hits == 0
-        assert delta.replays_run == 1
+        assert delta.cache_misses == 1
         _assert_results_equal(first[0], second[0])
 
     def test_different_config_is_a_different_key(self, fresh_cache_dir):
@@ -164,7 +160,7 @@ class TestPersistentCache:
         before = stats()
         run_queue_batch(specs, other)
         delta = stats().since(before)
-        assert delta.cache_hits == 0 and delta.replays_run == 1
+        assert delta.cache_hits == 0 and delta.cache_misses == 1
 
 
 @pytest.mark.skipif(not fork_available, reason="needs fork start method")
@@ -283,7 +279,7 @@ def _boom(tag):
 
 class TestWorkerErrors:
     def test_error_propagates_serial(self, fresh_cache_dir):
-        task = Task(func=_boom, args=("x",), label="exploding", cache=False)
+        task = Task(func=_boom, args=("x",), label="exploding")
         with pytest.raises(WorkerError) as excinfo:
             run_tasks([task], jobs=1)
         assert excinfo.value.label == "exploding"
@@ -293,7 +289,7 @@ class TestWorkerErrors:
     @pytest.mark.skipif(not fork_available, reason="needs fork start method")
     def test_error_propagates_from_pool_in_task_order(self, fresh_cache_dir):
         tasks = [
-            Task(func=_boom, args=(tag,), label=f"boom-{tag}", cache=False)
+            Task(func=_boom, args=(tag,), label=f"boom-{tag}")
             for tag in ("first", "second")
         ]
         with pytest.raises(WorkerError) as excinfo:
@@ -324,7 +320,7 @@ def _square(x):
 
 class TestProgressCallback:
     def test_serial_ticks_in_task_order(self, fresh_cache_dir):
-        tasks = [Task(func=_square, args=(i,), label=f"s{i}", cache=False)
+        tasks = [Task(func=_square, args=(i,), label=f"s{i}")
                  for i in range(5)]
         seen = []
         run_tasks(tasks, jobs=1, cache=False,
@@ -341,7 +337,7 @@ class TestProgressCallback:
 
     @pytest.mark.skipif(not fork_available, reason="no fork start method")
     def test_pool_ticks_once_per_task(self, fresh_cache_dir):
-        tasks = [Task(func=_square, args=(i,), label=f"p{i}", cache=False)
+        tasks = [Task(func=_square, args=(i,), label=f"p{i}")
                  for i in range(6)]
         seen = []
         results = run_tasks(tasks, jobs=2, cache=False,

@@ -79,8 +79,7 @@ class TestSeedStability:
         """--jobs must not change the streams (fresh RNG per trace, no
         shared-state bleed between pool workers)."""
         tasks = [
-            Task(func=trace_digest, args=pair, label=f"gen-{pair[0]}-{pair[1]}",
-                 cache=False)
+            Task(func=trace_digest, args=pair, label=f"gen-{pair[0]}-{pair[1]}")
             for pair in PAIRS
         ]
         serial = runtime.run_tasks(tasks, jobs=1, cache=False)
