@@ -15,16 +15,22 @@ worst's.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
+import json
+import sys
 import time
 from typing import Dict, List, Optional
 
+from repro.broker.breaker import CircuitBreaker
+from repro.broker.cache import ForecastCache
 from repro.broker.fanout import Backend, SiteQuote
 from repro.broker.ranking import RouteDecision, feasible_queues, rank_quotes
-from repro.broker.registry import SiteSpec
+from repro.broker.registry import SiteSpec, add_site_args, sites_from_args
+from repro.server.client import ForecastClient, ServerError, TransportError
 from repro.server.metrics import BrokerMetrics
 
-__all__ = ["RoutingBroker"]
+__all__ = ["RoutingBroker", "main"]
 
 
 class RoutingBroker:
@@ -38,9 +44,7 @@ class RoutingBroker:
         retries: int = 1,
         hedge_after: Optional[float] = None,
         cache_ttl: float = 0.5,
-        breaker_failures: int = 3,
         breaker_reset: float = 2.0,
-        pool_size: int = 4,
     ):
         if not sites:
             raise ValueError("broker needs at least one site")
@@ -48,37 +52,18 @@ class RoutingBroker:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate site names: {names}")
         self.metrics = metrics if metrics is not None else BrokerMetrics()
-        self.backends: Dict[str, Backend] = {}
-        for spec in sites:
-            self.backends[spec.name] = self._make_backend(
+        self.backends: Dict[str, Backend] = {
+            spec.name: Backend(
                 spec,
+                metrics=self.metrics,
                 request_timeout=request_timeout,
                 retries=retries,
                 hedge_after=hedge_after,
-                cache_ttl=cache_ttl,
-                breaker_failures=breaker_failures,
-                breaker_reset=breaker_reset,
-                pool_size=pool_size,
+                breaker=CircuitBreaker(reset_timeout=breaker_reset),
+                cache=ForecastCache(ttl=cache_ttl),
             )
-
-    def _make_backend(self, spec: SiteSpec, *, request_timeout, retries,
-                      hedge_after, cache_ttl, breaker_failures,
-                      breaker_reset, pool_size) -> Backend:
-        from repro.broker.breaker import CircuitBreaker
-        from repro.broker.cache import ForecastCache
-
-        return Backend(
-            spec,
-            metrics=self.metrics,
-            request_timeout=request_timeout,
-            retries=retries,
-            hedge_after=hedge_after,
-            pool_size=pool_size,
-            breaker=CircuitBreaker(
-                failure_threshold=breaker_failures, reset_timeout=breaker_reset
-            ),
-            cache=ForecastCache(ttl=cache_ttl),
-        )
+            for spec in sites
+        }
 
     @property
     def sites(self) -> List[SiteSpec]:
@@ -181,3 +166,90 @@ class RoutingBroker:
             *(backend.close() for backend in self.backends.values()),
             return_exceptions=True,
         )
+
+
+def build_route_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bmbp route",
+        description="ask where to submit a job (broker daemon or --site specs)",
+    )
+    parser.add_argument("--host", default="127.0.0.1",
+                        help="broker daemon host (ignored with --site)")
+    parser.add_argument("--port", type=int, default=7079,
+                        help="broker daemon port (ignored with --site)")
+    add_site_args(parser)
+    parser.add_argument("--procs", type=int, default=1)
+    parser.add_argument("--walltime", type=float, default=None, metavar="SECONDS")
+    parser.add_argument("--queue", default=None,
+                        help="restrict the fan-out to one queue name")
+    parser.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
+                        help="per-site network budget for the fan-out")
+    parser.add_argument("--json", action="store_true",
+                        help="print the full decision as JSON")
+    return parser
+
+
+def _format_route(decision: dict) -> str:
+    lines = []
+    best = decision.get("best")
+    if best is not None:
+        bound = best["bound"]
+        lines.append(
+            f"best: {best['site']}/{best['queue']} "
+            f"bound={bound:,.0f}s ({best['source']})"
+        )
+    else:
+        lines.append("best: none (no site produced a usable bound)")
+    for quote in decision.get("ranked", []):
+        bound = quote["bound"]
+        bound_text = f"{bound:,.0f}s" if bound is not None else "-"
+        flags = [quote["source"]]
+        if quote["stale"]:
+            flags.append("stale")
+        if quote["hedged"]:
+            flags.append("hedged")
+        lines.append(
+            f"  {quote['site']}/{quote['queue']}: bound={bound_text} "
+            f"[{','.join(flags)}] breaker={quote['breaker']}"
+        )
+    for excluded in decision.get("infeasible", []):
+        lines.append(
+            f"  {excluded['site']}/{excluded['queue']}: "
+            f"infeasible ({excluded['reason']})"
+        )
+    lines.append(f"decided in {decision.get('decided_ms', 0.0):.1f} ms")
+    return "\n".join(lines)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_route_parser().parse_args(argv)
+    sites = sites_from_args(args)
+    if sites:
+        broker = RoutingBroker(sites)
+
+        async def _ask() -> dict:
+            try:
+                decision = await broker.route(
+                    procs=args.procs, walltime=args.walltime,
+                    queue=args.queue, deadline=args.deadline,
+                )
+                return decision.to_dict()
+            finally:
+                await broker.close()
+
+        decision = asyncio.run(_ask())
+    else:
+        try:
+            with ForecastClient(args.host, args.port) as client:
+                decision = client._request(
+                    "route", procs=args.procs, walltime=args.walltime,
+                    queue=args.queue, deadline=args.deadline,
+                )
+        except (ServerError, TransportError) as exc:
+            print(f"bmbp route: {exc}", file=sys.stderr)
+            return 1
+    if args.json:
+        print(json.dumps(decision, indent=2, sort_keys=True))
+    else:
+        print(_format_route(decision))
+    return 0 if decision.get("best") is not None else 1

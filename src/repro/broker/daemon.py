@@ -21,18 +21,19 @@ time NDJSON loop and the broker's ops.
 
 from __future__ import annotations
 
+import argparse
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.broker.broker import RoutingBroker
-from repro.broker.registry import SiteSpec
+from repro.broker.registry import SiteSpec, add_site_args, sites_from_args
 from repro.server import protocol
 from repro.server.metrics import BrokerMetrics
 from repro.server.shell import DaemonShell, run_daemon
 
-__all__ = ["BrokerConfig", "BrokerServer", "serve_broker"]
+__all__ = ["BrokerConfig", "BrokerServer", "main", "serve_broker"]
 
 
 @dataclass
@@ -47,9 +48,7 @@ class BrokerConfig:
     retries: int = 1
     hedge_after: Optional[float] = None  # None = observed p95 per backend
     cache_ttl: float = 0.5
-    breaker_failures: int = 3
     breaker_reset: float = 2.0
-    pool_size: int = 4
     drain_timeout: float = 5.0
 
 
@@ -70,9 +69,7 @@ class BrokerServer(DaemonShell):
             retries=config.retries,
             hedge_after=config.hedge_after,
             cache_ttl=config.cache_ttl,
-            breaker_failures=config.breaker_failures,
             breaker_reset=config.breaker_reset,
-            pool_size=config.pool_size,
         )
 
     async def _shutdown(self) -> None:
@@ -151,3 +148,65 @@ def serve_broker(config: BrokerConfig) -> int:
     return run_daemon(
         lambda: BrokerServer(config), _banner, "bmbp-broker: drained, bye"
     )
+
+
+def build_broker_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bmbp broker",
+        description="run the multi-site routing broker daemon",
+    )
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port", type=int, default=7079,
+        help="TCP port (default %(default)s; 0 = ephemeral, written to the "
+        "state directory's server.port file)",
+    )
+    parser.add_argument(
+        "--state-dir", default=None, metavar="DIR",
+        help="directory for the port file (the broker itself is stateless)",
+    )
+    add_site_args(parser)
+    parser.add_argument(
+        "--request-timeout", type=float, default=0.25, metavar="SECONDS",
+        help="per-attempt backend timeout (default %(default)s)",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=1,
+        help="extra backend attempts per request (default %(default)s)",
+    )
+    parser.add_argument(
+        "--hedge-after", type=float, default=None, metavar="SECONDS",
+        help="launch the duplicate request after this long (default: each "
+        "backend's observed p95 latency)",
+    )
+    parser.add_argument(
+        "--cache-ttl", type=float, default=0.5, metavar="SECONDS",
+        help="stale-while-revalidate freshness window (default %(default)s)",
+    )
+    parser.add_argument(
+        "--breaker-reset", type=float, default=2.0, metavar="SECONDS",
+        help="open-breaker cooldown before a half-open probe (default %(default)s)",
+    )
+    parser.add_argument("--drain-timeout", type=float, default=5.0, metavar="SECONDS")
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_broker_parser().parse_args(argv)
+    sites = sites_from_args(args)
+    if not sites:
+        print("bmbp broker: at least one --site or --sites-file is required",
+              file=sys.stderr)
+        return 2
+    return serve_broker(BrokerConfig(
+        sites=sites,
+        host=args.host,
+        port=args.port,
+        state_dir=args.state_dir,
+        request_timeout=args.request_timeout,
+        retries=args.retries,
+        hedge_after=args.hedge_after,
+        cache_ttl=args.cache_ttl,
+        breaker_reset=args.breaker_reset,
+        drain_timeout=args.drain_timeout,
+    ))

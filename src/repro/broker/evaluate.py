@@ -27,8 +27,10 @@ counters, the broker's own metrics — lands in ``BENCH_route.json``.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import json
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -47,6 +49,7 @@ from repro.workloads.trace import Trace
 __all__ = [
     "BENCH_ROUTE_SCHEMA",
     "evaluate_regret",
+    "main",
     "make_site_traces",
     "run_route_bench",
 ]
@@ -390,3 +393,79 @@ def run_route_bench(
         path = Path(artifact)
         path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
+
+
+def build_bench_route_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bmbp bench-route",
+        description="replay K sites, score routing regret, write BENCH_route.json",
+    )
+    parser.add_argument(
+        "--sites", type=int, default=3,
+        help="forecast daemons to spawn and route over (default %(default)s)",
+    )
+    parser.add_argument(
+        "--feed-jobs", type=int, default=200, metavar="N",
+        help="SWF jobs fed to each daemon before routing (default %(default)s)",
+    )
+    parser.add_argument(
+        "--routes", type=int, default=60, metavar="N",
+        help="routing decisions in the healthy phase (default %(default)s)",
+    )
+    parser.add_argument(
+        "--degraded-routes", type=int, default=30, metavar="N",
+        help="routing decisions after killing one backend (default %(default)s)",
+    )
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument(
+        "--request-timeout", type=float, default=0.25, metavar="SECONDS",
+    )
+    parser.add_argument(
+        "--no-kill", action="store_true",
+        help="skip the kill-one-backend degradation phase",
+    )
+    parser.add_argument(
+        "--json", default="BENCH_route.json", metavar="PATH",
+        help="regret/latency artifact path (default %(default)s)",
+    )
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_bench_route_parser().parse_args(argv)
+    report = run_route_bench(
+        sites=args.sites,
+        feed_jobs=args.feed_jobs,
+        routes=args.routes,
+        degraded_routes=args.degraded_routes,
+        seed=args.seed,
+        artifact=args.json,
+        request_timeout=args.request_timeout,
+        kill_one=not args.no_kill,
+    )
+    regret = report["regret"]
+    parts = [
+        f"{policy}={stats['mean_regret_s']:.0f}s"
+        for policy, stats in regret["policies"].items()
+    ]
+    latency = report["healthy"]["decision_latency_ms"]
+    print(
+        f"regret over {regret['probes']} probes: {' '.join(parts)} "
+        f"(broker strictly lowest: {regret['broker_strictly_lowest']})"
+    )
+    print(
+        f"decision latency over {latency['count']} routes: "
+        f"p50={latency['p50']:.1f}ms p99={latency['p99']:.1f}ms "
+        f"({report['healthy']['failed_routes']} failed)"
+    )
+    if "degraded" in report:
+        degraded = report["degraded"]
+        print(
+            f"after killing {degraded['killed_site']}: "
+            f"{degraded['routes']} routes, "
+            f"{degraded['failed_routes']} failed, "
+            f"{degraded['stale_answers']} stale answers, "
+            f"breaker opened: {degraded['breaker_opened']}"
+        )
+    print(f"[bmbp] route benchmark written to {args.json}", file=sys.stderr)
+    return 0

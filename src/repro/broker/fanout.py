@@ -22,7 +22,7 @@ these layers, outermost first:
    duplicate request is launched on a second pooled connection and the
    first successful response wins; the loser is cancelled and its
    connection discarded, so exactly one result is ever used.
-5. **Connection pool** — at most ``pool_size`` concurrent TCP connections
+5. **Connection pool** — at most :data:`POOL_SIZE` concurrent TCP connections
    per backend, reused across requests; a connection whose request
    failed, timed out, or was cancelled mid-read is closed, never reused
    (a half-read NDJSON stream cannot be resynchronized).
@@ -49,6 +49,9 @@ from repro.runtime import faults
 from repro.server.metrics import BrokerMetrics
 
 __all__ = ["Backend", "BackendError", "ConnectionPool", "SiteQuote"]
+
+#: Pooled connections per backend.
+POOL_SIZE = 4
 
 #: Fault-injection hook site (see docs/verification.md): ``drop`` aborts
 #: the in-flight backend request as if the remote daemon crashed mid-read.
@@ -199,7 +202,6 @@ class Backend:
         hedge_after: Optional[float] = None,
         hedge_percentile: float = 0.95,
         hedge_floor: float = 0.02,
-        pool_size: int = 4,
         breaker: Optional[CircuitBreaker] = None,
         cache: Optional[ForecastCache] = None,
     ):
@@ -210,7 +212,7 @@ class Backend:
         self.hedge_after = hedge_after
         self.hedge_percentile = hedge_percentile
         self.hedge_floor = hedge_floor
-        self.pool = ConnectionPool(spec.host, spec.port, size=pool_size,
+        self.pool = ConnectionPool(spec.host, spec.port, size=POOL_SIZE,
                                    connect_timeout=request_timeout)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.cache = cache if cache is not None else ForecastCache()

@@ -29,6 +29,7 @@ stale cache entries until an operator intervenes.
 
 from __future__ import annotations
 
+import argparse
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +37,14 @@ from typing import Dict, List, Optional, Union
 
 from repro.scheduler.constraints import QueueLimit
 
-__all__ = ["DEFAULT_QUEUE", "SiteSpec", "load_sites_file", "parse_site_arg"]
+__all__ = [
+    "DEFAULT_QUEUE",
+    "SiteSpec",
+    "add_site_args",
+    "load_sites_file",
+    "parse_site_arg",
+    "sites_from_args",
+]
 
 #: Queue assumed when a site spec names none.
 DEFAULT_QUEUE = "normal"
@@ -145,3 +153,23 @@ def load_sites_file(path: Union[str, Path]) -> List[SiteSpec]:
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: duplicate site names in registry")
     return specs
+
+
+def add_site_args(parser: argparse.ArgumentParser) -> None:
+    """The ``--site``/``--sites-file`` flags ``broker`` and ``route`` share."""
+    parser.add_argument(
+        "--site", action="append", default=[], metavar="NAME=HOST:PORT[:QUEUES]",
+        help="a forecast daemon to route over (repeatable); queues default "
+        "to 'normal'",
+    )
+    parser.add_argument(
+        "--sites-file", default=None, metavar="PATH",
+        help="JSON site registry with per-queue limits (see docs/broker.md)",
+    )
+
+
+def sites_from_args(args: argparse.Namespace) -> List[SiteSpec]:
+    sites = [parse_site_arg(spec) for spec in args.site]
+    if args.sites_file is not None:
+        sites.extend(load_sites_file(args.sites_file))
+    return sites

@@ -195,8 +195,12 @@ def run_clustering_eval(
     """
     config = config or ExperimentConfig()
     specs = [spec_for(*queue) for queue in CLUSTERING_QUEUES]
+    # Every strategy is built from BMBP predictors; prime only that.
+    bank = {"bmbp": BMBPPredictor(
+        quantile=config.quantile, confidence=config.confidence
+    )}
     rows: List[ClusteringRow] = []
-    for queue_rows in run_per_queue(_queue_strategies_work, specs, config):
+    for queue_rows in run_per_queue(_queue_strategies_work, specs, config, bank):
         rows.extend(queue_rows)
     return rows
 

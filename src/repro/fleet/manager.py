@@ -16,6 +16,8 @@ Used by ``bmbp fleet``, the fault scenarios, and the fleet smoke test.
 
 from __future__ import annotations
 
+import argparse
+import json
 import signal
 import subprocess
 import time
@@ -24,8 +26,9 @@ from typing import Dict, List, Optional, Union
 
 from repro.fleet.topology import FleetTopology
 from repro.server.client import ForecastClient, spawn_daemon
+from repro.server.daemon import add_forecaster_args, forecaster_argv
 
-__all__ = ["FleetManager", "ShardMember"]
+__all__ = ["FleetManager", "ShardMember", "main"]
 
 
 class ShardMember:
@@ -185,3 +188,64 @@ class FleetManager:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+def build_fleet_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bmbp fleet",
+        description="run a sharded, replicated fleet of forecast daemons",
+    )
+    parser.add_argument(
+        "--dir", required=True, metavar="DIR",
+        help="fleet directory (manifest + per-shard state directories)",
+    )
+    parser.add_argument(
+        "--shards", type=int, default=4, metavar="N",
+        help="shard count (default %(default)s)",
+    )
+    parser.add_argument(
+        "--no-replicate", action="store_true",
+        help="run primaries only (no warm followers)",
+    )
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--status", action="store_true",
+        help="print the fleet topology (ports, roles) of --dir and exit",
+    )
+    add_forecaster_args(parser)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_fleet_parser().parse_args(argv)
+    if args.status:
+        topology = FleetTopology.load(args.dir)
+        print(json.dumps(topology.describe(), indent=2))
+        return 0
+    manager = FleetManager(
+        args.dir, shard_count=args.shards, replicate=not args.no_replicate,
+        host=args.host, extra_args=forecaster_argv(args),
+    )
+    manager.start()
+    for shard_id, port in manager.endpoints().items():
+        follower = manager.followers.get(shard_id)
+        print(
+            f"shard {shard_id}: primary {args.host}:{port}"
+            + (f", follower {args.host}:{follower.port}" if follower else "")
+        )
+
+    stop = {"flag": False}
+
+    def _signal_handler(signum, frame):
+        stop["flag"] = True
+
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, _signal_handler)
+
+    print("fleet up; Ctrl-C to stop", flush=True)
+    try:
+        while not stop["flag"]:
+            time.sleep(0.25)
+    finally:
+        manager.stop()
+    return 0

@@ -28,7 +28,10 @@ is strictly below the best non-predictive baseline
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +66,7 @@ __all__ = [
     "default_budgets",
     "default_scenarios",
     "evaluate_scenario",
+    "main",
     "run_sched_bench",
 ]
 
@@ -364,3 +368,64 @@ def run_sched_bench(
         path = Path(artifact)
         path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
+
+
+def build_bench_sched_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bmbp bench-sched",
+        description="score bound-aware policies vs an oracle, write BENCH_sched.json",
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="CI variant: only the smoke-marked scenarios, and a failed "
+        "regret gate (every predictive policy strictly below "
+        "BMBP_BENCH_MAX_SCHED_REGRET_RATIO times the best non-predictive "
+        "baseline, default 1.0) exits nonzero",
+    )
+    parser.add_argument(
+        "--max-regret-ratio", type=float, default=None, metavar="R",
+        help="override the gate ratio (default: "
+        "$BMBP_BENCH_MAX_SCHED_REGRET_RATIO or 1.0)",
+    )
+    parser.add_argument(
+        "--json", default="BENCH_sched.json", metavar="PATH",
+        help="policy-table artifact path (default %(default)s)",
+    )
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_bench_sched_parser().parse_args(argv)
+    ratio = args.max_regret_ratio
+    if ratio is None:
+        ratio = float(os.environ.get("BMBP_BENCH_MAX_SCHED_REGRET_RATIO", "1.0"))
+    report = run_sched_bench(
+        smoke=args.smoke, max_regret_ratio=ratio, artifact=args.json
+    )
+    for entry in report["scenarios"]:
+        parts = [
+            f"{policy}={stats['mean_regret_s']:.0f}s"
+            for policy, stats in entry["policies"].items()
+        ]
+        print(f"{entry['name']}: {' '.join(parts)}")
+    gate = report["gate"]
+    aggregate = report["aggregate"]
+    print(
+        f"aggregate regret vs best baseline ({gate['best_baseline']}: "
+        f"{gate['best_baseline_regret_s']:.0f}s, threshold "
+        f"{gate['threshold_s']:.0f}s): "
+        + " ".join(
+            f"{policy}={aggregate[policy]['mean_regret_s']:.0f}s"
+            f"[{'ok' if ok else 'FAIL'}]"
+            for policy, ok in gate["predictive"].items()
+        )
+    )
+    print(f"[bmbp] scheduling benchmark written to {args.json}", file=sys.stderr)
+    if args.smoke and not gate["passed"]:
+        print(
+            "bench-sched: FAILED — a predictive policy's regret is not "
+            "strictly below the best baseline",
+            file=sys.stderr,
+        )
+        return 1
+    return 0

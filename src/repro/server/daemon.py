@@ -11,12 +11,13 @@ letting requests pile up in server memory.
 Durability (when a state directory is configured) is delegated to
 :class:`repro.server.state.StateStore`: every applied mutation is
 journaled and flushed *before* its acknowledgement is sent, checkpoints
-happen periodically (by time and by event count), and boot recovers
-checkpoint + journal.  The worker drains its queue in bursts and group
-commits them — one journal write + flush covers the whole burst, and no
-response is written until that flush returns — which keeps the
-apply→journal→ack contract per event while amortising the flush across a
-pipelined burst.  On SIGTERM/SIGINT the daemon drains: it stops accepting
+happen periodically (every ``checkpoint_interval`` seconds and every
+:data:`CHECKPOINT_EVENTS` journaled events), and boot recovers
+checkpoint + journal.  The worker drains its queue in bursts of up to
+:data:`MAX_BATCH` requests and group commits them — one journal write +
+flush covers the whole burst, and no response is written until that
+flush returns — which keeps the apply→journal→ack contract per event
+while amortising the flush across a pipelined burst.  On SIGTERM/SIGINT the daemon drains: it stops accepting
 connections, lets in-flight requests finish (bounded by
 ``drain_timeout``), takes a final checkpoint, and exits 0.  The listener,
 the line framing, the HTTP layer and the drain are
@@ -42,16 +43,16 @@ the line framing, the HTTP layer and the drain are
   because every acknowledged event was flushed to the primary's journal
   before the ack.
 
-The default daemon is purely event-driven — predictor refits are triggered
-by event timestamps, never the wall clock — so a crashed-and-recovered
+The daemon is purely event-driven — predictor refits are triggered by
+event timestamps, never the wall clock — so a crashed-and-recovered
 daemon quotes bounds identical to one that never crashed (the journal
-replay test in ``tests/server`` proves exactly this).  An optional
-``refit_interval`` adds a wall-clock refresh tick for quiet queues, at the
-cost of that strict determinism.
+replay test in ``tests/server`` proves exactly this).  A quiet queue's
+quotes are refreshed on demand by the ``refit`` op.
 """
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import json
 import sys
@@ -64,10 +65,20 @@ from repro.runtime import faults
 from repro.server import protocol
 from repro.server.metrics import ServerMetrics
 from repro.server.shell import PORT_FILE_NAME, DaemonShell, run_daemon
-from repro.server.state import DEFAULT_SEGMENT_BYTES, StateStore, apply_event
+from repro.server.state import StateStore, apply_event
 from repro.service.forecaster import ForecasterConfig, QueueForecaster
 
-__all__ = ["PORT_FILE_NAME", "ServerConfig", "ForecastServer", "serve"]
+__all__ = ["PORT_FILE_NAME", "ServerConfig", "ForecastServer", "main", "serve"]
+
+#: Group-commit burst cap: one journal write + flush covers at most this
+#: many pipelined requests.
+MAX_BATCH = 128
+#: Checkpoint (and compact the journal) after this many journaled events,
+#: on top of the periodic ``checkpoint_interval``.
+CHECKPOINT_EVENTS = 1000
+#: Bounded per-connection request queue (pipeline depth before TCP
+#: backpressure reaches the client).
+MAX_REQUEST_QUEUE = 64
 
 _LAG_PROBE_INTERVAL = 0.25
 #: Heartbeat cadence on an idle replication stream (carries the primary's
@@ -90,12 +101,8 @@ class ServerConfig:
     port: int = 0  # 0 = ephemeral; resolved port lands in the port file
     state_dir: Optional[Union[str, Path]] = None  # None = no durability
     checkpoint_interval: float = 30.0  # seconds between periodic checkpoints
-    checkpoint_events: int = 1000  # checkpoint after this many journal events
-    max_request_queue: int = 64  # bounded per-connection pipeline depth
     drain_timeout: float = 5.0  # grace for in-flight work on shutdown
     fsync: bool = False  # fsync journal/checkpoint (power-loss durability)
-    refit_interval: Optional[float] = None  # wall-clock refit tick (off =
-    # strictly event-driven and replay-deterministic)
     forecaster: ForecasterConfig = field(default_factory=ForecasterConfig)
     # --- fleet -----------------------------------------------------------
     shard_id: Optional[int] = None  # this process's shard (None = unsharded)
@@ -103,9 +110,6 @@ class ServerConfig:
     follow: Optional[str] = None  # "host:port" of the primary to replicate
     follow_dir: Optional[Union[str, Path]] = None  # primary's state dir,
     # read at promotion to replay any entries the stream had not delivered
-    max_batch: int = 128  # burst size cap for one group commit (1 = flush
-    # every event on its own)
-    segment_bytes: int = DEFAULT_SEGMENT_BYTES  # journal segment roll size
 
 
 class _SyncSubscriber:
@@ -143,11 +147,7 @@ class ForecastServer(DaemonShell):
     async def start(self) -> None:
         """Recover state, bind, and begin serving (returns once listening)."""
         if self.config.state_dir is not None:
-            self.store = StateStore(
-                self.config.state_dir,
-                fsync=self.config.fsync,
-                segment_bytes=self.config.segment_bytes,
-            )
+            self.store = StateStore(self.config.state_dir, fsync=self.config.fsync)
             self.forecaster, replayed = self.store.recover(self.config.forecaster)
             self.store.open()
             self.metrics.replayed_on_boot = replayed
@@ -157,8 +157,6 @@ class ForecastServer(DaemonShell):
         self._spawn(self._lag_monitor(), "lag-monitor")
         if self.store is not None:
             self._spawn(self._checkpoint_timer(), "checkpoint-timer")
-        if self.config.refit_interval:
-            self._spawn(self._refit_timer(), "refit-timer")
         if self.role == "follower":
             self._follow_task = asyncio.get_running_loop().create_task(
                 self._follow_loop()
@@ -204,11 +202,6 @@ class ForecastServer(DaemonShell):
             if self.store.events_since_checkpoint > 0:
                 self._checkpoint()
 
-    async def _refit_timer(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.refit_interval)
-            self.forecaster.refit(now=time.time())
-
     def _checkpoint(self) -> int:
         seq = self.store.checkpoint(self.forecaster)
         self.metrics.checkpoints += 1
@@ -221,7 +214,7 @@ class ForecastServer(DaemonShell):
     async def _serve_ndjson(self, first: bytes, reader, writer) -> None:
         """A bounded queue between this reader and a worker gives
         per-connection backpressure (see module docstring)."""
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.max_request_queue)
+        queue: asyncio.Queue = asyncio.Queue(maxsize=MAX_REQUEST_QUEUE)
         await queue.put(first)
         worker = asyncio.get_running_loop().create_task(
             self._request_worker(queue, writer)
@@ -247,7 +240,6 @@ class ForecastServer(DaemonShell):
         sees an ack for an event that could vanish in a crash — the same
         guarantee as per-event journaling, minus N-1 flushes per burst.
         """
-        max_batch = self.config.max_batch
         done = False
         while not done:
             line = await queue.get()
@@ -255,7 +247,7 @@ class ForecastServer(DaemonShell):
                 done = True  # the reader's end sentinel: nothing follows
                 break
             lines = [line]
-            while len(lines) < max_batch:
+            while len(lines) < MAX_BATCH:
                 try:
                     extra = queue.get_nowait()
                 except asyncio.QueueEmpty:
@@ -322,7 +314,7 @@ class ForecastServer(DaemonShell):
                 record["seq"] = seq
                 records.append(record)
             self._broadcast(records)
-        if self.store.events_since_checkpoint >= self.config.checkpoint_events:
+        if self.store.events_since_checkpoint >= CHECKPOINT_EVENTS:
             self._checkpoint()
 
     def _broadcast(self, records: List[Dict[str, Any]]) -> None:
@@ -733,3 +725,105 @@ def serve(config: Optional[ServerConfig] = None) -> int:
         lambda: ForecastServer(config), _banner,
         "bmbp-serve: drained and checkpointed, bye",
     )
+
+
+#: The forecaster flags ``serve`` declares and ``fleet`` forwards to every
+#: daemon it spawns, each defaulting to its :class:`ForecasterConfig` field.
+FORECASTER_FLAGS = ("--quantile", "--confidence", "--epoch", "--training-jobs")
+
+
+def add_forecaster_args(parser: argparse.ArgumentParser) -> None:
+    for flag in FORECASTER_FLAGS:
+        default = getattr(ForecasterConfig, flag[2:].replace("-", "_"))
+        parser.add_argument(flag, type=type(default), default=default,
+                            help="default %(default)s")
+
+
+def forecaster_argv(args: argparse.Namespace) -> List[str]:
+    """``args``' forecaster flags as a ``bmbp serve`` argument list."""
+    return [token for flag in FORECASTER_FLAGS
+            for token in (flag, str(getattr(args, flag[2:].replace("-", "_"))))]
+
+
+def build_serve_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bmbp serve", description="run the live forecast daemon"
+    )
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port", type=int, default=7077,
+        help="TCP port (default %(default)s; 0 = ephemeral, written to the "
+        "state directory's server.port file)",
+    )
+    parser.add_argument(
+        "--state-dir", default=None, metavar="DIR",
+        help="checkpoint/journal directory (omit for an in-memory daemon "
+        "with no durability)",
+    )
+    parser.add_argument(
+        "--checkpoint-interval", type=float, default=30.0, metavar="SECONDS",
+        help="periodic checkpoint cadence (default %(default)s; the daemon "
+        f"also checkpoints every {CHECKPOINT_EVENTS} journaled events)",
+    )
+    parser.add_argument(
+        "--fsync", action="store_true",
+        help="fsync the journal per event (power-loss durability; slower)",
+    )
+    parser.add_argument(
+        "--drain-timeout", type=float, default=5.0, metavar="SECONDS",
+        help="grace period for in-flight requests on SIGTERM (default %(default)s)",
+    )
+    add_forecaster_args(parser)
+    parser.add_argument(
+        "--no-bins", action="store_true",
+        help="disable per-processor-bin predictor banks",
+    )
+    fleet = parser.add_argument_group("fleet membership")
+    fleet.add_argument(
+        "--shard-id", type=int, default=None, metavar="I",
+        help="serve only queues hashing to shard I (requires --shard-count)",
+    )
+    fleet.add_argument(
+        "--shard-count", type=int, default=None, metavar="N",
+        help="total shards in the fleet this daemon belongs to",
+    )
+    fleet.add_argument(
+        "--follow", default=None, metavar="HOST:PORT",
+        help="run as a warm follower replicating from this primary "
+        "(mutations are rejected with not-primary until promoted)",
+    )
+    fleet.add_argument(
+        "--follow-dir", default=None, metavar="DIR",
+        help="the primary's state directory; read at promotion to replay "
+        "journal entries the replication stream had not delivered",
+    )
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_serve_parser().parse_args(argv)
+    if (args.shard_id is None) != (args.shard_count is None):
+        print(
+            "bmbp serve: --shard-id and --shard-count go together",
+            file=sys.stderr,
+        )
+        return 2
+    return serve(ServerConfig(
+        host=args.host,
+        port=args.port,
+        state_dir=args.state_dir,
+        checkpoint_interval=args.checkpoint_interval,
+        fsync=args.fsync,
+        drain_timeout=args.drain_timeout,
+        shard_id=args.shard_id,
+        shard_count=args.shard_count,
+        follow=args.follow,
+        follow_dir=args.follow_dir,
+        forecaster=ForecasterConfig(
+            quantile=args.quantile,
+            confidence=args.confidence,
+            epoch=args.epoch,
+            training_jobs=args.training_jobs,
+            by_bin=not args.no_bins,
+        ),
+    ))

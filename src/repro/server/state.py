@@ -358,12 +358,25 @@ class StateStore:
         checkpoint segments are merely redundant (replay skips ``seq <=``
         checkpoint).
         """
-        fault = faults.fire("checkpoint.replace")
         checkpoint_seq = self.seq
+        self._write_checkpoint(
+            forecaster, checkpoint_seq, faults.fire("checkpoint.replace")
+        )
+        self.compact(checkpoint_seq)
+        self.events_since_checkpoint = 0
+        return checkpoint_seq
+
+    def _write_checkpoint(
+        self, forecaster: QueueForecaster, seq: int, fault: Optional[str] = None
+    ) -> None:
+        """Atomically replace the checkpoint file (temp file + ``os.replace``;
+        the temp file is fsynced first when ``fsync`` is on).  ``fault`` is a
+        fired ``checkpoint.replace`` action: crash before or after the rename.
+        """
         payload = json.dumps(
             {
                 "version": CHECKPOINT_VERSION,
-                "seq": checkpoint_seq,
+                "seq": seq,
                 "forecaster": forecaster.to_state(),
             }
         )
@@ -391,9 +404,6 @@ class StateStore:
             except OSError:
                 pass
             raise
-        self.compact(checkpoint_seq)
-        self.events_since_checkpoint = 0
-        return checkpoint_seq
 
     def compact(self, through_seq: int) -> int:
         """Delete journal files fully covered by a checkpoint at ``through_seq``.
@@ -442,26 +452,7 @@ class StateStore:
         """
         old_paths = self._segment_paths()
         self.seq = seq
-        payload = json.dumps(
-            {
-                "version": CHECKPOINT_VERSION,
-                "seq": seq,
-                "forecaster": forecaster.to_state(),
-            }
-        )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.directory), prefix=".checkpoint.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        os.replace(tmp_name, self.checkpoint_path)
+        self._write_checkpoint(forecaster, seq)
         for path in old_paths:
             try:
                 path.unlink()

@@ -23,16 +23,17 @@ traffic.
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.server.client import ForecastClient, ServerError
 from repro.workloads.swf import load_swf
 from repro.workloads.trace import Trace
 
-__all__ = ["tail_trace", "tail_swf"]
+__all__ = ["main", "tail_trace", "tail_swf"]
 
 
 def tail_trace(
@@ -151,3 +152,49 @@ def tail_swf(
             trace, client, speedup=speedup, limit=limit,
             progress_every=progress_every,
         )
+
+
+def build_tail_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bmbp tail", description="feed a daemon from an SWF trace file"
+    )
+    parser.add_argument("swf", help="SWF trace file (plain or .gz)")
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=7077)
+    parser.add_argument(
+        "--fleet", default=None, metavar="DIR",
+        help="feed the fleet in DIR (each queue goes to its shard) instead "
+        "of the daemon at --host/--port",
+    )
+    parser.add_argument(
+        "--speedup", type=float, default=0.0, metavar="X",
+        help="trace-seconds replayed per wall-second (3600 = an hour of log "
+        "per second; default 0 = as fast as the daemon accepts)",
+    )
+    parser.add_argument(
+        "--limit", type=int, default=None, metavar="N",
+        help="feed only the first N jobs",
+    )
+    parser.add_argument(
+        "--progress-every", type=int, default=5000, metavar="N",
+        help="stderr progress line cadence in events (0 = silent)",
+    )
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_tail_parser().parse_args(argv)
+    summary = tail_swf(
+        args.swf, host=args.host, port=args.port, speedup=args.speedup,
+        limit=args.limit, progress_every=args.progress_every, fleet=args.fleet,
+    )
+    hit = summary["quote_hit_rate"]
+    print(
+        f"tailed {summary['jobs']} jobs ({summary['events_sent']} events, "
+        f"{summary['events_skipped']} skipped) in "
+        f"{summary['wall_seconds']:.1f}s "
+        f"({summary['events_per_sec']:.0f} ev/s); "
+        f"{summary['quotes']} quotes"
+        + (f", {hit:.1%} held" if hit is not None else "")
+    )
+    return 0

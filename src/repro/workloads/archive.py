@@ -15,8 +15,11 @@ downloaded ``.swf``/``.swf.gz`` file.
 
 from __future__ import annotations
 
+import argparse
 import gzip
 import hashlib
+import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -30,6 +33,7 @@ __all__ = [
     "archive_log",
     "file_sha256",
     "load_archive_log",
+    "main",
     "verify_archive_file",
 ]
 
@@ -334,3 +338,48 @@ def verify_archive_file(
                     f"{name!r} in registry"
                 )
     return report
+
+
+def build_archive_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bmbp archive",
+        description="list registered archive logs / verify a downloaded log",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    sub.add_parser("list", help="list registered archive logs with URLs")
+    p_verify = sub.add_parser(
+        "verify", help="check a downloaded log's checksum and header "
+        "against the registry",
+    )
+    p_verify.add_argument("path", help="downloaded .swf/.swf.gz file")
+    p_verify.add_argument(
+        "--key", default=None, metavar="KEY",
+        help="registry key (default: inferred from the filename)",
+    )
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_archive_parser().parse_args(argv)
+    if args.verb == "list":
+        try:
+            print(describe_archive())
+        except BrokenPipeError:  # e.g. `bmbp archive list | head`
+            os.close(sys.stdout.fileno())
+        return 0
+    report = verify_archive_file(args.path, key=args.key)
+    print(f"{report['path']}: sha256 {report['sha256']}")
+    print(f"  registry key: {report['key'] or '(none matched)'}")
+    print(f"  checksum: {report['checksum']}")
+    header = report.get("header", {})
+    known = {k: v for k, v in header.items() if k != "queues" and v is not None}
+    if known:
+        print(f"  header: {known}")
+    if header.get("queues"):
+        print(f"  header queues: {len(header['queues'])}")
+    for warning in report["warnings"]:
+        print(f"  warning: {warning}")
+    if not report["ok"]:
+        print("archive verify: FAILED (checksum mismatch)", file=sys.stderr)
+        return 1
+    return 0

@@ -1,12 +1,14 @@
 """Tests for the command-line interface."""
 
 import re
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
 from repro import runtime
-from repro.cli import EXPERIMENTS, SERVER_COMMANDS, build_parser, main
+from repro.cli import COMMANDS, EXPERIMENTS, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -69,13 +71,29 @@ class TestParser:
         assert args.experiment == "clear-cache"
 
 
+class TestCommandTable:
+    @pytest.mark.parametrize("verb", list(COMMANDS))
+    def test_every_verb_has_help(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--help"])
+        assert exit_info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_top_level_help_names_every_verb(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        verbs = capsys.readouterr().out.split("\ncommands (", 1)[1]
+        listed = re.findall(r"^  (\S+)  ", verbs, re.M)
+        assert listed == list(COMMANDS)
+
+
 def test_docs_name_only_real_verbs():
     """Every ``python -m repro <verb>`` / ``bmbp <verb>`` in the docs' code
-    exists: a server subcommand or one of the experiment parser's choices.
-    Every ``BMBP_*`` setting the docs and the notes under ``.claude/`` name is
-    read by the program, its benchmarks or perfbench."""
-    experiment = next(a for a in build_parser()._actions if a.dest == "experiment")
-    verbs = set(SERVER_COMMANDS) | set(experiment.choices)
+    is a verb of the command table.  Every ``BMBP_*`` setting the docs and
+    the notes under ``.claude/`` name is read by the program, its benchmarks
+    or perfbench."""
+    verbs = set(COMMANDS)
     docs = [ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "DESIGN.md",
             *sorted((ROOT / "docs").glob("*.md"))]
     mentions, unknown = 0, []
@@ -148,6 +166,18 @@ class TestMain:
         assert not list((tmp_path / "cache").glob("v*/*.pkl"))
 
 
+def _fake_experiments(monkeypatch, **mains):
+    """Point the experiment loop at stand-in modules with these ``main``s."""
+    experiments = {}
+    for name, func in mains.items():
+        module = f"_fake_experiment_{name}"
+        monkeypatch.setitem(
+            sys.modules, module, types.SimpleNamespace(main=func)
+        )
+        experiments[name] = module
+    monkeypatch.setattr("repro.cli.EXPERIMENTS", experiments)
+
+
 class TestFailurePropagation:
     def test_all_reports_failure_and_exits_nonzero(self, capsys, monkeypatch):
         def ok(config):
@@ -156,9 +186,7 @@ class TestFailurePropagation:
         def boom(config):
             raise RuntimeError("kaboom in worker")
 
-        monkeypatch.setattr(
-            "repro.cli.EXPERIMENTS", {"good": ok, "bad": boom}
-        )
+        _fake_experiments(monkeypatch, good=ok, bad=boom)
         code = main(["all", "--scale", "0.01"])
         assert code == 1
         captured = capsys.readouterr()
@@ -176,7 +204,7 @@ class TestFailurePropagation:
                 "llnl/short", "Traceback ...\nValueError: inside the worker\n"
             )
 
-        monkeypatch.setattr("repro.cli.EXPERIMENTS", {"bad": boom})
+        _fake_experiments(monkeypatch, bad=boom)
         code = main(["all", "--scale", "0.01"])
         assert code == 1
         err = capsys.readouterr().err

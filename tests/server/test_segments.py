@@ -318,6 +318,26 @@ class TestReplicationPaths:
         got = [e["seq"] for e in store.read_entries_since(0)]
         assert got == [7, 9]
 
+    def test_reset_to_snapshot_fsyncs_under_fsync(self, tmp_path, monkeypatch):
+        """A follower that installs a streamed snapshot under ``--fsync`` is
+        power-loss durable: the new checkpoint is fsynced before its
+        rename, as a periodic checkpoint is."""
+        donor = QueueForecaster(CONFIG)
+        store = StateStore(tmp_path, fsync=True)
+        store.recover(CONFIG)
+        store.open()
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        store.reset_to_snapshot(donor, 5)
+        store.close()
+        assert os.stat(store.checkpoint_path).st_ino in synced
+
     def test_reset_to_snapshot_replaces_history(self, tmp_path):
         donor_store = StateStore(tmp_path / "donor")
         donor, _ = donor_store.recover(CONFIG)

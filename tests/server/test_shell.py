@@ -158,3 +158,26 @@ def test_http_errors_share_one_json_body(
         "ok": False, "error": {"code": code, "message": message},
     }
     assert errors == []
+
+
+def test_default_configs_use_the_fixed_settings(tmp_path):
+    """Default daemons run with the fixed values docs/server.md and
+    docs/broker.md state: burst cap 128, a checkpoint every 1000 events,
+    64-deep request queues, 4 MiB journal segments; 4 pooled connections
+    and a breaker that opens after 3 failures per broker backend."""
+    from repro.server import daemon as daemon_module
+
+    async def scenario(daemon):
+        return daemon.store.segment_bytes
+
+    segment_bytes, _ = run(_forecast, scenario, state_dir=str(tmp_path))
+    assert segment_bytes == 4 << 20
+    assert (
+        daemon_module.MAX_BATCH,
+        daemon_module.CHECKPOINT_EVENTS,
+        daemon_module.MAX_REQUEST_QUEUE,
+    ) == (128, 1000, 64)
+
+    backend = _broker().broker.backends["a"]
+    assert backend.pool.size == 4
+    assert backend.breaker.failure_threshold == 3
